@@ -147,7 +147,8 @@ def zipf_documents(seed: int, pool_size: int, exponent: float, phases, warm: int
 
 def load_corpus(name: str) -> List[dict]:
     """The rows ``prepare.py corpus NAME`` wrote: ``snippet`` (wire
-    dict), ``gold`` id, and the reference ranking ``ids``/``scores``."""
+    dict), ``gold`` id, the reference ranking ``ids``/``scores``, and
+    ``next_score``, the reference's score just below the cut."""
     return json.loads(prepare("corpus", name).read_text())
 
 
@@ -220,13 +221,15 @@ def same_ranking(
     scores: Sequence[float],
     ref_ids: Sequence[int],
     ref_scores: Sequence[float],
+    ref_next: Optional[float] = None,
 ) -> bool:
     """Whether a served ranking matches the reference one: same length,
     distinct entities, scores equal up to float32 rounding, and the same
-    entity at every rank, except that entities whose reference scores tie
-    within that rounding may swap.  The last run of ties may also be cut
-    differently by ``top_k``: a different entity there carries the same
-    score, so it tied with one the cut dropped."""
+    entities at every rank, except that entities whose reference scores
+    tie within that rounding may swap.  ``ref_next`` is the reference's
+    score just below the ``top_k`` cut (None when nothing was cut).  Only
+    when the last run of ties reaches across the cut may it hold other
+    entities: ``top_k`` then picks among equals."""
     if len(ids) != len(ref_ids) or len(scores) != len(ref_scores):
         return False
     if len(set(ids)) != len(ids):
@@ -239,7 +242,8 @@ def same_ranking(
         end = start + 1
         while end < n and _close(ref_scores[end], ref_scores[end - 1]):
             end += 1
-        if end < n and set(ids[start:end]) != set(ref_ids[start:end]):
+        cut_tie = end == n and ref_next is not None and _close(ref_next, ref_scores[-1])
+        if not cut_tie and set(ids[start:end]) != set(ref_ids[start:end]):
             return False
         start = end
     return True

@@ -84,8 +84,10 @@ def bundle() -> Path:
 
 
 def corpus(name: str) -> Path:
-    """The corpus's snippets with gold links and the reference ranking
-    ``disambiguate_snippet`` gives each on the serving pipeline."""
+    """The corpus's snippets with gold links, the reference ranking
+    ``disambiguate_snippet`` gives each on the serving pipeline, and the
+    reference's score just below the ``top_k`` cut (None when nothing was
+    cut), so the correctness gate can tell a tie across the cut."""
     kb_name, size, generator = CORPORA[name]
     ckpt = checkpoint(kb_name)
     packed = bundle() if generator == "indexed" else None
@@ -102,12 +104,16 @@ def corpus(name: str) -> Path:
         snippets = common.snippet_pool(kb_name, linker.kb, size)
         rows = []
         for snippet in snippets:
-            ranked = linker.disambiguate_snippet(snippet, top_k=common.TOP_K)
+            # A stable sort then a slice: the first TOP_K of TOP_K + 1 are
+            # the TOP_K ranking.
+            ranked = linker.disambiguate_snippet(snippet, top_k=common.TOP_K + 1)
+            cut = ranked.scores[common.TOP_K :]
             rows.append({
                 "snippet": snippet.to_dict(),
                 "gold": common.gold_entity(snippet),
-                "ids": ranked.ranked_entities,
-                "scores": ranked.scores,
+                "ids": ranked.ranked_entities[: common.TOP_K],
+                "scores": ranked.scores[: common.TOP_K],
+                "next_score": cut[0] if cut else None,
             })
         _write_json(out, rows)
 

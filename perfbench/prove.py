@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             q1, _, q3 = statistics.quantiles(values, n=4)
             spread = common.quartile_spread(values) if med else 0.0
             rows[name] = {"median": med, "q1": q1, "q3": q3, "spread": spread,
-                          "unit": runs[0]["metrics"][name]["unit"]}
+                          "unit": runs[0]["metrics"][name]["unit"], "values": values}
             bound = bounds.get(name)
             flag = ""
             if bound is not None and not args.trace:

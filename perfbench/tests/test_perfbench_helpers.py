@@ -16,6 +16,7 @@ sys.path.insert(0, str(BENCH_DIR))
 import common  # noqa: E402
 import metrics  # noqa: E402
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 # -- percentiles under the sample-count rule ------------------------------
@@ -95,9 +96,9 @@ def test_wrapped_calls_nest_and_uninstall_restores():
 # -- determinism of the Zipf document generator -----------------------------
 def test_zipf_documents_are_deterministic_per_seed():
     phases = {"high": (50, 4), "sat": (20, 4)}
-    a = common.zipf_documents(7, 600, 0.9, phases, warm=64)
-    b = common.zipf_documents(7, 600, 0.9, phases, warm=64)
-    c = common.zipf_documents(8, 600, 0.9, phases, warm=64)
+    a = common.zipf_documents(7, 600, workloads.HTTP_ZIPF, phases, warm=64)
+    b = common.zipf_documents(7, 600, workloads.HTTP_ZIPF, phases, warm=64)
+    c = common.zipf_documents(8, 600, workloads.HTTP_ZIPF, phases, warm=64)
     assert a == b
     assert a != c
     assert [len(d) for d in a["high"]] == [4] * 50
@@ -107,7 +108,7 @@ def test_zipf_documents_are_deterministic_per_seed():
 
 
 def test_zipf_documents_favour_the_warmed_head():
-    docs = common.zipf_documents(3, 1000, 0.9, {"high": (2000, 4)}, warm=128)
+    docs = common.zipf_documents(3, 1000, workloads.HTTP_ZIPF, {"high": (2000, 4)}, warm=128)
     head = {i for d in docs["warm"] for i in d}
     draws = [i for d in docs["high"] for i in d]
     share = sum(i in head for i in draws) / len(draws)
@@ -149,3 +150,24 @@ def test_same_ranking_allows_float32_rounding_and_ties_only():
     assert not common.same_ranking([3, 1, 2], [0.9, 0.6, 0.5], ref_ids, ref_scores)
     assert not common.same_ranking([3, 3, 2], [0.9, 0.5, 0.5], ref_ids, ref_scores)
     assert not common.same_ranking([3, 1], [0.9, 0.5], ref_ids, ref_scores)
+
+
+def test_same_ranking_checks_the_entity_at_an_untied_cut():
+    ref_ids, ref_scores = [3, 1, 2], [0.9, 0.5, 0.4]
+    # Rank 3 is untied below the cut: a wrong entity with the right score fails.
+    assert not common.same_ranking([3, 1, 7], [0.9, 0.5, 0.4], ref_ids, ref_scores, 0.1)
+    assert not common.same_ranking([3, 1, 7], [0.9, 0.5, 0.4], ref_ids, ref_scores, None)
+    # A single candidate's id is checked too.
+    assert not common.same_ranking([4], [0.7], [3], [0.7], None)
+    assert common.same_ranking([3], [0.7], [3], [0.7], None)
+
+
+def test_same_ranking_lets_top_k_pick_among_ties_across_the_cut():
+    ref_ids, ref_scores = [3, 1, 2], [0.9, 0.4, 0.4]
+    # The reference's next score ties with rank 2 and 3: entity 7 tied too.
+    assert common.same_ranking([3, 7, 1], [0.9, 0.4, 0.4], ref_ids, ref_scores, 0.4)
+    assert common.same_ranking([3, 2, 1], [0.9, 0.4, 0.4], ref_ids, ref_scores, 0.4)
+    # Without a tie across the cut the last run must hold the same entities.
+    assert not common.same_ranking([3, 7, 1], [0.9, 0.4, 0.4], ref_ids, ref_scores, 0.3)
+    # Earlier runs never change members, cut tie or not.
+    assert not common.same_ranking([7, 1, 2], [0.9, 0.4, 0.4], ref_ids, ref_scores, 0.4)

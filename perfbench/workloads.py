@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import ctypes
 import gc
 import json
 import sys
@@ -35,18 +36,23 @@ import tracer as tracing
 
 CALL_SIZE = 32  # snippets per link_batch call (the service's micro-batch)
 MIN_PASSES = 3
-SETUP_REPS = {"NCBI": 5, "MDX": 3}
 REFERENCE_SLICE = {"NCBI": 300, "MDX": 150}
 TRACE_PASSES = {"NCBI": 6, "MDX": 2}
 TRAIN_EPOCHS = 10  # short fits, so a run holds enough of them to take minima
-TRAIN_SETUP_REPS = 5
+SETUPS_PER_FIT = 4  # set-ups timed before each fit, the fit's own included
 MIN_FITS = 3
 HTTP_SETUP_REPS = 3
-HTTP_ZIPF = 0.9
+#: Request popularity: Breslau et al., "Web Caching and Zipf-like
+#: Distributions: Evidence and Implications" (INFOCOM 1999) fit Zipf
+#: exponents of 0.64-0.83 to web proxy traces; 0.8 is the top of that range.
+HTTP_ZIPF = 0.8
 HTTP_WARM = 1024  # the most popular snippets, sent to each server before timing
 HTTP_PHASES = {"low": (210, 4), "high": (200, 4), "sat": (3000, 4)}
-LOW_RATE = 20.0  # documents/s; about 40 % of the seed's 2-connection capacity
-HIGH_RATE = 35.0  # documents/s; about 65 % of it.  Never recalibrated.
+#: Documents/s, never recalibrated.  ``low`` runs at 20/s rather than 15/s
+#: so that its 210 documents (10 beyond p95) take 10.5 s, not 14 s, and
+#: leave the closed-loop phase time inside one run.
+LOW_RATE = 20.0
+HIGH_RATE = 35.0
 TRACE_SAT_DOCS = 300
 
 
@@ -62,17 +68,32 @@ def _note(message: str) -> None:
     print(f"perfbench: {message}", file=sys.stderr)
 
 
+def _reference(row):
+    """A corpus row's reference ranking: (ids, scores, next_score)."""
+    return row["ids"], row["scores"], row["next_score"]
+
+
 def _mismatches(served, reference, what: str) -> int:
     """Count served (ids, scores) rankings that differ from the reference
     ``disambiguate_snippet`` ones."""
     bad = 0
-    for (ids, scores), (ref_ids, ref_scores) in zip(served, reference):
-        if not common.same_ranking(ids, scores, ref_ids, ref_scores):
+    for (ids, scores), (ref_ids, ref_scores, ref_next) in zip(served, reference):
+        if not common.same_ranking(ids, scores, ref_ids, ref_scores, ref_next):
             bad += 1
             if bad <= 3:
                 _note(f"{what}: served ranking {ids} differs from "
                              f"disambiguate_snippet's {ref_ids}")
     return bad
+
+
+def _settled_rss() -> float:
+    """This process's resident MiB once garbage is collected and the C
+    allocator has handed its free pages back (glibc ``malloc_trim``): the
+    live footprint, not what earlier frees happened to leave mapped."""
+    gc.collect()
+    with contextlib.suppress(OSError, AttributeError):
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    return common.rss_mb()
 
 
 @contextlib.contextmanager
@@ -122,18 +143,18 @@ def batch(kb_name: str, seed: int, seconds: float, trace: bool) -> RunResult:
     order = np.random.default_rng([seed, 4]).permutation(len(calls))
     rows = [row for i in order for row in calls[i]]
     stream = [Snippet.from_dict(r["snippet"]) for r in rows]
-    reference = [(r["ids"], r["scores"]) for r in rows]
+    reference = [_reference(r) for r in rows]
 
-    setups = []
-    linker = service = None
-    for _ in range(SETUP_REPS[kb_name]):
-        if service is not None:
-            service.close()
-        linker = service = None
+    setups: List[float] = []
+
+    def set_up():
         gc.collect()
         t0 = perf_counter()
-        linker, service = _load_service(ckpt)
+        loaded = _load_service(ckpt)
         setups.append(perf_counter() - t0)
+        return loaded
+
+    linker, service = set_up()
     service.link_batch(stream[:CALL_SIZE])  # warm-up, untimed
 
     if trace:
@@ -145,10 +166,16 @@ def batch(kb_name: str, seed: int, seconds: float, trace: bool) -> RunResult:
         per_pass.append(calls)
         mismatches += _mismatches(served, reference, kb_name)
         first = first or served
-    rss = common.rss_mb()
+        # One more set-up after each pass, so the samples spread over the
+        # whole run rather than one moment of the shared host.
+        set_up()[1].close()
+    rss = _settled_rss()
     service.close()
     # Every pass replays the same calls, so each call's fastest pass is
     # its time on a quiet host; the spread over calls is the content's.
+    # The percentiles run over one value per call (44 NCBI, 28 MDX): too
+    # few for ten beyond p95, which is a near-maximum here (the 42nd of
+    # 44, the 27th of 28).
     fastest = [min(times) * 1000.0 for times in zip(*per_pass)]
     hits = sum(ids[0] == r["gold"] for (ids, _), r in zip(first, rows))
     values = {
@@ -169,19 +196,21 @@ def _batch_traced(kb_name, ckpt, linker, service, stream, reference) -> RunResul
         linker.disambiguate_snippet(snippet, top_k=common.TOP_K)
     sequential_mps = len(sample) / (perf_counter() - t0)
 
-    passes = TRACE_PASSES[kb_name]
+    def timed_passes():
+        """Wall time of TRACE_PASSES passes, and each pass's rankings."""
+        t0 = perf_counter()
+        served = [out for _, out in _passes(service, stream, passes=TRACE_PASSES[kb_name])]
+        return perf_counter() - t0, served
+
     for _ in _passes(service, stream, passes=1):  # warm-up, untimed
         pass
-    untraced = sum(sum(calls) for calls, _ in _passes(service, stream, passes=passes))
+    untraced, _ = timed_passes()
     generator = linker.pipeline.candidate_generator
     hits0, fallbacks0 = generator.index_hits, generator.fallback_hits
     cache0 = (service.stats.cache_hits, service.stats.cache_misses)
-    mismatches = 0
     with _traced() as tracer:
-        t0 = perf_counter()
-        for _, served in _passes(service, stream, passes=passes):
-            mismatches += _mismatches(served, reference, kb_name)
-        traced = perf_counter() - t0
+        traced, served = timed_passes()
+    mismatches = sum(_mismatches(out, reference, kb_name) for out in served)
     service.close()
     index_hits = generator.index_hits - hits0
     fallbacks = generator.fallback_hits - fallbacks0
@@ -207,7 +236,7 @@ def _batch_traced(kb_name, ckpt, linker, service, stream, reference) -> RunResul
         **{k: setup[k] for k in ("storage.refresh_s", "storage.ref_embed_s", "pipeline.init_s")},
     }
     values = metrics.per_layer(tracer.summary(traced), extra)
-    return RunResult(values, len(stream) * passes, 0, mismatches == 0)
+    return RunResult(values, len(stream) * len(served), 0, mismatches == 0)
 
 
 # ----------------------------------------------------------------------
@@ -248,46 +277,59 @@ def train(seed: int, seconds: float, trace: bool) -> RunResult:
     config = common.linker_config(seed, seed, TRAIN_EPOCHS)
     splits = (dataset.train, dataset.val, dataset.test)
 
-    setups = []
-    for _ in range(TRAIN_SETUP_REPS):
+    setups: List[float] = []
+
+    def set_up():
         kb = copy.deepcopy(pristine)
         gc.collect()
         t0 = perf_counter()
-        Linker.from_config(config, kb)
+        linker = Linker.from_config(config, kb)
         setups.append(perf_counter() - t0)
+        return linker
 
-    def fit():
-        """One fit on a fresh KB copy, so every fit pays the same
+    def fit(linker):
+        """One fit, on a fresh set-up's KB copy so every fit pays the same
         first-use costs; returns its start, end and result."""
-        linker = Linker.from_config(config, copy.deepcopy(pristine))
         t0 = perf_counter()
         result = linker.fit(*splits)
         return t0, perf_counter(), result
 
     if trace:
-        t0, t1, _ = fit()
-        untraced = t1 - t0
-        with _traced() as tracer:
-            t0, t1, result = fit()
-        traced = t1 - t0
+        fit(set_up())  # warm-up, untimed: no compared fit is the first
+        # Fits speed up steadily over a process's life; untraced and
+        # traced fits in the order U T T U cancel a linear trend.
+        untraced, traced = [], []
+        for with_tracer in (False, True, True, False):
+            linker = set_up()
+            if with_tracer:
+                with _traced() as tracer:
+                    t0, t1, result = fit(linker)
+                traced.append(t1 - t0)
+            else:
+                t0, t1, _ = fit(linker)
+                untraced.append(t1 - t0)
         with _traced() as setup_tracer:
             t0 = perf_counter()
             Linker.from_config(config, copy.deepcopy(pristine))
             setup_wall = perf_counter() - t0
         setup = metrics.per_layer(setup_tracer.summary(setup_wall), {})
         extra = {
-            "trace.overhead_ratio": traced / untraced,
+            "trace.overhead_ratio": sum(traced) / sum(untraced),
             "pipeline.init_s": setup["pipeline.init_s"],
         }
-        values = metrics.per_layer(tracer.summary(traced), extra)
+        values = metrics.per_layer(tracer.summary(traced[-1]), extra)
         return RunResult(values, len(dataset.train) * len(result.history), 0, True)
 
     deadline = common.Deadline(seconds)
     fits, f1s, mentions = [], [], 0
     while deadline.left() > 0 or len(fits) < MIN_FITS:
+        # Set-ups spread over the whole run; the fit uses the last one.
+        for _ in range(SETUPS_PER_FIT - 1):
+            set_up()
+        linker = set_up()
         starts: List[float] = []
         with _epoch_clock(starts):
-            t0, t1, result = fit()
+            t0, t1, result = fit(linker)
         # The fit cut at each epoch start: query graphs and packing, one
         # part per epoch (train step and validation), and the last epoch
         # with the test evaluation.
@@ -295,11 +337,16 @@ def train(seed: int, seconds: float, trace: bool) -> RunResult:
         fits.append([b - a for a, b in zip(marks, marks[1:])])
         mentions += len(dataset.train) * len(result.history)
         f1s.append(_f1(result.test_records))
-    rss = common.rss_mb()
+        if len(fits) == MIN_FITS:
+            # After a fixed number of fits, not however many the host's
+            # speed let into the run.
+            rss = _settled_rss()
     deterministic = len(set(f1s)) == 1 and len({len(f) for f in fits}) == 1
     if not deterministic:
         _note(f"fits of one seed differ: F1 {f1s}, parts {[len(f) for f in fits]}")
     # Every fit of one seed does the same work: each part's fastest fit.
+    # The percentiles run over the 9 whole epochs, so p95 is the slowest
+    # of them (on the seed, epoch 2, at three to four times the median).
     fastest = [min(parts) for parts in zip(*fits)]
     epochs = [t * 1000.0 for t in fastest[1:-1]]
     values = {
@@ -358,6 +405,7 @@ def http(seed: int, seconds: float, trace: bool) -> RunResult:
     failed = 0
     servers: List[loadgen.Server] = []
     phases: Dict[str, loadgen.PhaseResult] = {}
+    untraced_phases: List[loadgen.PhaseResult] = []
 
     def spawn(args, tag) -> loadgen.Server:
         servers.append(loadgen.Server(args, logs, tag))
@@ -374,11 +422,17 @@ def http(seed: int, seconds: float, trace: bool) -> RunResult:
 
     try:
         if trace:
+            # The untraced server runs the traced one's phases, so both
+            # reach ``sat`` (the overhead ratio's work) with the same cache.
             server = spawn(serve, "untraced")
             server.wait_healthy()
-            warm(server)
-            untraced = loadgen.closed_loop(server.port, bodies["sat"], limit=TRACE_SAT_DOCS)
-            failed += untraced.failed + stop(server)
+            untraced_phases = [
+                warm(server),
+                loadgen.open_loop(server.port, bodies["low"], LOW_RATE),
+                loadgen.open_loop(server.port, bodies["high"], HIGH_RATE),
+                loadgen.closed_loop(server.port, bodies["sat"], limit=TRACE_SAT_DOCS),
+            ]
+            failed += sum(r.failed for r in untraced_phases) + stop(server)
             summary_path = logs / f"trace-{seed}.json"
             server = spawn(
                 [str(common.BENCH_DIR / "traced_server.py"), str(summary_path),
@@ -437,12 +491,12 @@ def http(seed: int, seconds: float, trace: bool) -> RunResult:
             doc = docs[name][outcome.index % len(docs[name])]
             predictions = json.loads(outcome.body)["predictions"]
             served = [(p["entity_ids"], p["scores"]) for p in predictions]
-            reference = [(rows[i]["ids"], rows[i]["scores"]) for i in doc]
+            reference = [_reference(rows[i]) for i in doc]
             mismatches += _mismatches(served, reference, "mdx-http")
             if name != "warm":
                 mentions += len(doc)
                 hits += sum(ids[0] == rows[i]["gold"] for (ids, _), i in zip(served, doc))
-    attempted = sum(len(r.outcomes) for r in phases.values())
+    attempted = sum(len(r.outcomes) for r in [*phases.values(), *untraced_phases])
 
     if trace:
         raw = json.loads(summary_path.read_text())
@@ -472,7 +526,7 @@ def http(seed: int, seconds: float, trace: bool) -> RunResult:
             "loadgen.high_lag_p95_ms": lags["high"],
             "loadgen.high_p50_ms": common.tail_percentile(high.latencies_ms(), 50),
             "loadgen.high_p95_ms": common.tail_percentile(high.latencies_ms(), 95),
-            "trace.overhead_ratio": phases["sat"].wall_s / untraced.wall_s,
+            "trace.overhead_ratio": phases["sat"].wall_s / untraced_phases[-1].wall_s,
         }
         values = metrics.per_layer(raw, extra)
     else:
