@@ -25,13 +25,6 @@ SEED = int(os.environ.get("REPRO_SEED", "0"))
 SERVING_SPEEDUP_FLOOR = 3.0  # batched vs sequential, full configuration
 SERVING_SMOKE_SPEEDUP_FLOOR = 1.5  # loose floor for the tiny CI smoke mode
 SERVING_DEADLINE_JITTER_MS = 100.0  # scheduler-wakeup slack on noisy CI VMs
-# Process-backend sharded scoring vs the thread backend at >= 4 shards.
-# Modest on purpose: CI runners have few cores and the thread backend's
-# BLAS calls already release the GIL — the guard certifies "processes are
-# a win, not a regression", not a linear scale-up.  Only enforced in
-# non-smoke runs on multi-core hosts (a 1-core box cannot show parallel
-# speedup; the numbers are still recorded there).
-PROCESS_SHARD_SPEEDUP_FLOOR = 1.05
 # Sublinear candidate retrieval vs the linear fuzzy scan.  The full run
 # synthesises a 100k-entity KB where the O(N·d) scan is the bottleneck
 # the retrieval subsystem exists to remove, so the floor is aggressive;

@@ -5,10 +5,9 @@ Builds a small ED-GNN from a declarative :class:`repro.api.LinkerConfig`
 the batched :class:`repro.serving.LinkingService`, replays it to show
 the LRU result cache, saves a self-describing checkpoint, then serves
 the same stream through the deadline-aware
-:class:`repro.serving.AsyncLinkingService` with KB sharding on
-**process-backed shard workers** (``shard_backend="process"`` — one GIL
-per shard, bit-identical scores) and prints latency percentiles
-alongside the service stats.
+:class:`repro.serving.AsyncLinkingService` with the KB split into
+**thread shards** (``shards=2`` — bit-identical scores) and prints
+latency percentiles alongside the service stats.
 
 A final pair of sections packs the KB into an mmap bundle
 (:func:`repro.storage.pack_bundle`) and serves from it with
@@ -23,12 +22,11 @@ The same paths are reachable from the CLI:
 
     repro config dump --variant graphsage > linker.json
     repro train --dataset NCBI --config linker.json --out CKPT
-    repro serve --checkpoint CKPT --async --shards 2 --deadline-ms 25 \
-        --shard-backend process
+    repro serve --checkpoint CKPT --async --shards 2 --deadline-ms 25
     cat snippets.jsonl | repro serve --checkpoint CKPT --input - --async
     repro kb pack --checkpoint CKPT --out BUNDLE --with-index
     repro serve --checkpoint CKPT --kb-bundle BUNDLE --shards 2 \
-        --shard-backend process --candidates indexed
+        --candidates indexed
 
 Run:  PYTHONPATH=src python examples/serving_quickstart.py
 """
@@ -111,26 +109,20 @@ def main() -> None:
     # 7. Async serving: requests go onto a queue; micro-batches form when
     #    full OR when the oldest request's deadline budget is up, so a
     #    trickle of traffic is never stalled behind a fixed batch size.
-    #    shards=2 partitions the KB (and its embedding cache);
-    #    shard_backend="process" moves each shard into a long-lived
-    #    worker process (its pickled shard shipped once, then only
-    #    compact score requests cross the pipe) so candidate scoring
-    #    runs on one GIL per shard — with automatic fallback to threads
-    #    where the platform cannot fork.  Predictions stay identical to
-    #    the sequential pipeline on every backend.
+    #    shards=2 partitions the KB (and its embedding cache) by id and
+    #    scores each micro-batch's candidates on a thread per shard.
+    #    Predictions stay identical to the sequential pipeline.
     with linker.serve(
-        async_=True, shards=2, shard_backend="process",
-        deadline_ms=25.0, cache_size=0,
+        async_=True, shards=2, deadline_ms=25.0, cache_size=0,
     ) as async_service:
         futures = [async_service.submit(snippet) for snippet in dataset.test]
         async_predictions = [f.result() for f in futures]
         assert [p.ranked_entities for p in async_predictions] == [
             p.ranked_entities for p in predictions
         ]
-        backend = async_service.service.sharded.backend
         stats = async_service.stats
         print(
-            f"\nasync + 2 {backend}-backed shards: {len(async_predictions)} mentions, "
+            f"\nasync + 2 thread shards: {len(async_predictions)} mentions, "
             f"p50 {stats.latency_percentile(50):.1f}ms / "
             f"p95 {stats.latency_percentile(95):.1f}ms latency, "
             f"p95 queue wait {stats.queue_wait_percentile(95):.1f}ms"
@@ -141,17 +133,13 @@ def main() -> None:
     #    fingerprinted manifest.  Serving from the bundle with
     #    kb_store="mmap" memory-maps both matrices read-only — startup
     #    skips the KB embedding forward entirely, and every serving
-    #    process on the host shares one page-cached copy.  With process
-    #    shard workers, the shard payloads additionally travel through a
-    #    SharedMemoryArena: workers attach to named shared-memory
-    #    segments instead of receiving pickled matrix slices, and a
-    #    weight refresh becomes an in-place versioned publish.  Rankings
+    #    process on the host shares one page-cached copy.  The thread
+    #    shards slice their rows out of the mapped matrices.  Rankings
     #    stay bit-identical to every other configuration.
     with tempfile.TemporaryDirectory() as bundle:
         pack_bundle(linker.pipeline, bundle)
         mmap_service = linker.serve(
             shards=2,
-            shard_backend="process",
             cache_size=0,
             storage=StorageConfig(kb_store="mmap", bundle_path=bundle),
         )
@@ -162,11 +150,9 @@ def main() -> None:
             ]
             snapshot = mmap_service.stats.to_dict()
             print(
-                f"\nmmap bundle + shared-memory shard payloads: "
+                f"\nmmap bundle + 2 thread shards: "
                 f"{len(mmap_predictions)} mentions re-linked identically "
-                f"(backend={snapshot['storage_backend']}, "
-                f"{snapshot['arena_segments']} arena segments, "
-                f"{snapshot['payload_ship_bytes']} payload bytes piped)"
+                f"(backend={snapshot['storage_backend']})"
             )
         finally:
             mmap_service.close()

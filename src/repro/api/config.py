@@ -9,16 +9,16 @@ components (candidate generator, NER, embedder — see
 (:class:`~repro.retrieval.RetrievalConfig`) shapes the sublinear
 shortlist backends the ``"indexed"`` candidate generator uses; the
 generator name itself defaults from ``REPRO_CANDIDATES``.  The service
-section covers
-the full serving surface, shard execution backend included
-(``ServiceConfig(num_shards=4, shard_backend="process")`` declares a
-process-worker sharded service) as well as the HTTP front door
+section covers the full serving surface, KB sharding included
+(``ServiceConfig(num_shards=4)`` declares a service scoring on four
+thread shards) as well as the HTTP front door
 (``ServiceConfig(http=HttpConfig(port=8080))`` declares the server
 ``Linker.serve(http_port=...)`` starts).  ``to_json``/``from_json`` round-trip
 exactly, the payload is schema-versioned, and parsing is strict: unknown
 keys, unknown component names, unknown backend names, and unsupported
 versions are rejected rather than ignored — a config that parses is a
-config that constructs.
+config that constructs.  A schema-version-1 payload is rejected with a
+message naming the keys version 2 removed.
 """
 
 from __future__ import annotations
@@ -43,7 +43,15 @@ from .registry import CANDIDATE_GENERATORS, EMBEDDERS, ENCODERS, NERS
 __all__ = ["LinkerConfig", "CONFIG_SCHEMA_VERSION"]
 
 #: bump when the JSON layout changes incompatibly
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
+
+#: keys of schema version 1 that version 2 removed together with the
+#: process shard backend and its shared-memory payloads
+_V1_REMOVED_KEYS = (
+    "service.shard_backend",
+    "service.shard_workers",
+    "service.storage.share_payloads",
+)
 
 _TOP_LEVEL_KEYS = frozenset(
     {
@@ -89,7 +97,7 @@ class LinkerConfig:
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     augment_query_graphs: bool = True
     # Defaults from REPRO_CANDIDATES so CI can run the whole suite under
-    # a different generator (mirrors REPRO_KB_STORE / REPRO_SHARD_BACKEND).
+    # a different generator (mirrors REPRO_KB_STORE).
     candidate_generator: str = field(default_factory=default_candidate_generator)
     candidate_generator_kwargs: dict = field(default_factory=dict)
     ner: str = "dictionary"
@@ -162,6 +170,13 @@ class LinkerConfig:
         if not isinstance(payload, dict):
             raise ValueError("LinkerConfig payload must be a JSON object")
         version = payload.get("schema_version")
+        if version == 1:
+            raise ValueError(
+                "LinkerConfig schema_version 1 is no longer accepted: version "
+                f"{CONFIG_SCHEMA_VERSION} removed {', '.join(_V1_REMOVED_KEYS)}; "
+                "delete those keys and set schema_version to "
+                f"{CONFIG_SCHEMA_VERSION}"
+            )
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported LinkerConfig schema_version {version!r} "

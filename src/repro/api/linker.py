@@ -255,7 +255,6 @@ class Linker:
         self,
         async_: bool = False,
         shards: Optional[int] = None,
-        shard_backend: Optional[str] = None,
         storage=None,
         admission=None,
         deadline_ms: Optional[float] = None,
@@ -266,13 +265,12 @@ class Linker:
         """A ready serving frontend over this linker.
 
         Returns a :class:`~repro.serving.LinkingService` built from the
-        config's service section (``shards``, ``shard_backend`` and any
+        config's service section (``shards`` and any
         :class:`~repro.serving.ServiceConfig` field overriding it), or —
         with ``async_=True`` — an :class:`~repro.serving.AsyncLinkingService`
         wrapping one under the ``deadline_ms`` budget (default 25 ms).
-        ``shard_backend="process"`` fans candidate scoring out to
-        long-lived worker processes (one GIL per shard) instead of
-        threads — ``linker.serve(shards=4, shard_backend="process")``.
+        ``linker.serve(shards=4)`` fans candidate scoring out across four
+        KB shards on threads.
 
         ``storage`` picks where the KB matrices live
         (:class:`~repro.storage.StorageConfig`, its dict form, or just a
@@ -311,8 +309,6 @@ class Linker:
         service_config = self._config.service
         if shards is not None:
             overrides["num_shards"] = shards
-        if shard_backend is not None:
-            overrides["shard_backend"] = shard_backend
         if storage is not None:
             from ..storage import StorageConfig
 

@@ -39,7 +39,6 @@ from .rnn import GRU, GRUCell, SequenceEncoder  # noqa: F401
 from .serialization import load_state, save_state, state_allclose  # noqa: F401
 from .tensor import (  # noqa: F401
     Tensor,
-    enable_grad,
     is_grad_enabled,
     no_grad,
     ones,
@@ -53,7 +52,6 @@ __all__ = [
     "zeros",
     "ones",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
     "functional",
     "Module",

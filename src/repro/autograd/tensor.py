@@ -50,21 +50,6 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
-@contextlib.contextmanager
-def enable_grad():
-    """Context manager that re-enables tape recording on the current
-    thread (the inverse of :func:`no_grad`) — needed where parameters
-    are *constructed* in a context that may be inference-mode, e.g. a
-    shard worker forked from a parent thread inside ``no_grad`` (tensors
-    created with recording off silently drop ``requires_grad``)."""
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = True
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
-
-
 def is_grad_enabled() -> bool:
     return _grad_mode.enabled
 

@@ -364,7 +364,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             top_k=args.top_k,
             ref_cache_path=args.ref_cache,
             shards=args.shards,
-            shard_backend=args.shard_backend,
             storage=storage,
             admission=admission,
         )
@@ -793,14 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="partition the KB into N shards and fan candidate scoring out",
-    )
-    p.add_argument(
-        "--shard-backend",
-        default=None,
-        choices=["thread", "process"],
-        help="shard scoring backend: in-process threads (default) or "
-        "long-lived worker processes (true parallelism, one GIL per shard)",
+        help="partition the KB into N shards and fan candidate scoring out "
+        "on threads",
     )
     p.add_argument(
         "--candidates",

@@ -8,7 +8,6 @@ It is the public API the examples and benchmarks drive.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -44,9 +43,7 @@ class EDPipeline:
     The stages are pluggable: ``candidate_generator`` and ``ner`` accept
     component *factories* called as ``factory(kb, index=..., embedder=...)``
     — usually registry entries resolved by
-    :meth:`repro.api.Linker.from_config`.  The legacy
-    ``fuzzy_candidates=True/False`` kwarg still works but is deprecated in
-    favour of the named ``"fuzzy"``/``"exact"`` generators.
+    :meth:`repro.api.Linker.from_config`.
     """
 
     def __init__(
@@ -56,7 +53,6 @@ class EDPipeline:
         train_config: Optional[TrainConfig] = None,
         augment_query_graphs: bool = True,
         embedder: Optional[HashingNgramEmbedder] = None,
-        fuzzy_candidates: Optional[bool] = None,
         candidate_generator: Optional[Callable] = None,
         ner: Optional[Callable] = None,
     ):
@@ -79,20 +75,6 @@ class EDPipeline:
             kb.set_features(node_features_for_graph(kb, self.embedder))
 
         self.index = InvertedIndex(kb)
-        if fuzzy_candidates is not None:
-            warnings.warn(
-                "EDPipeline(fuzzy_candidates=...) is deprecated; pass "
-                "candidate_generator (e.g. repro.api.CANDIDATE_GENERATORS"
-                "['fuzzy']) or build through repro.api.Linker.from_config "
-                "with candidate_generator='fuzzy'",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if candidate_generator is None:
-                candidate_generator = (
-                    FuzzyFallbackCandidateGenerator if fuzzy_candidates
-                    else ExactCandidateGenerator
-                )
         if candidate_generator is None:
             candidate_generator = ExactCandidateGenerator
         self.candidate_generator = candidate_generator(

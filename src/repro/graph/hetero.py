@@ -261,37 +261,6 @@ class HeteroGraph:
         g.features = None if self.features is None else self.features.copy()
         return g
 
-    def subgraph(self, node_ids: Sequence[int]) -> "HeteroGraph":
-        """Induced subgraph over ``node_ids`` (columnar fast path).
-
-        Node ``node_ids[i]`` becomes node ``i`` of the view; edges whose
-        endpoints are both selected are kept with remapped endpoints, and
-        feature rows are sliced when present.  The inverse of
-        :meth:`splice`: ``splice`` concatenates whole graphs columnar,
-        ``subgraph`` extracts one — the serving layer's KB shards are
-        built from these views and can be reassembled with
-        :func:`repro.graph.batch.batch_graphs`.
-        """
-        ids = np.asarray(node_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
-            raise IndexError("subgraph node id out of range")
-        remap = np.full(self.num_nodes, -1, dtype=np.int64)
-        remap[ids] = np.arange(len(ids), dtype=np.int64)
-        view = HeteroGraph(self.schema)
-        selected = ids.tolist()
-        view._node_types = [self._node_types[i] for i in selected]
-        view._node_names = [self._node_names[i] for i in selected]
-        view._node_aliases = [self._node_aliases[i] for i in selected]
-        if self.num_edges:
-            src, dst, et = self.edges()
-            keep = (remap[src] >= 0) & (remap[dst] >= 0)
-            view._src = remap[src[keep]].tolist()
-            view._dst = remap[dst[keep]].tolist()
-            view._etypes = et[keep].tolist()
-        if self.features is not None:
-            view.features = np.ascontiguousarray(self.features[ids])
-        return view
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

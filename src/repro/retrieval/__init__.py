@@ -6,8 +6,7 @@ index (``"lsh"``) — powering the ``"indexed"`` candidate generator,
 which reruns the exact fuzzy oracle restricted to the shortlist so
 scores and filters match the linear scan.  Indexes pack into the KB
 bundle (``repro kb pack --with-index``) as CRC-checked, fingerprinted,
-memory-mappable arrays, and slice per shard for :class:`~repro.serving.
-sharding.ShardedKB`.  See :mod:`repro.retrieval.base` for the seam and
+memory-mappable arrays.  See :mod:`repro.retrieval.base` for the seam and
 :class:`RetrievalConfig`, and ``benchmarks/bench_candidates.py`` for
 the speedup/recall guards.
 """

@@ -53,7 +53,7 @@ __all__ = [
 RETRIEVAL_BACKENDS = ("ngram", "lsh")
 
 #: Environment default for ``LinkerConfig.candidate_generator`` — the same
-#: opt-in pattern as ``REPRO_KB_STORE`` / ``REPRO_SHARD_BACKEND``, so CI
+#: opt-in pattern as ``REPRO_KB_STORE``, so CI
 #: can run the whole suite under a different generator without editing
 #: every construction site.
 CANDIDATES_ENV = "REPRO_CANDIDATES"
@@ -160,15 +160,6 @@ class RetrievalIndex(abc.ABC):
     @abc.abstractmethod
     def params(self) -> dict:
         """JSON-serializable reconstruction parameters for the manifest."""
-
-    # -- sharding -------------------------------------------------------
-    @abc.abstractmethod
-    def slice_for(self, node_ids: np.ndarray) -> "RetrievalIndex":
-        """A shard-local sub-index restricted to ``node_ids``.
-
-        Slices keep *global* node ids, so a union of per-shard query
-        results is directly comparable to (and a superset of) the
-        unsharded shortlist for the same query."""
 
 
 def retrieval_fingerprint(

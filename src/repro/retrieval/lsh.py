@@ -187,29 +187,3 @@ class LshIndex(RetrievalIndex):
             embedder=embedder,
             fingerprint=fingerprint,
         )
-
-    # ------------------------------------------------------------------
-    def slice_for(self, node_ids: np.ndarray) -> "LshIndex":
-        """Shard-local slice: drop rows not owned by the shard.
-
-        Every node appears exactly once per band, so each band keeps the
-        same ``len(node_ids)`` entries and the 2-D layout survives; keys
-        stay sorted because filtering preserves order.
-        """
-        own = np.zeros(self.num_nodes, dtype=bool)
-        own[np.asarray(node_ids, dtype=np.int64)] = True
-        kept_keys: List[np.ndarray] = []
-        kept_order: List[np.ndarray] = []
-        for band in range(self.config.num_bands):
-            mask = own[self.order[band]]
-            kept_keys.append(self.keys[band][mask])
-            kept_order.append(self.order[band][mask])
-        return LshIndex(
-            self.config,
-            self.num_nodes,
-            planes=self.planes,
-            keys=np.stack(kept_keys) if kept_keys else self.keys[:, :0],
-            order=np.stack(kept_order) if kept_order else self.order[:, :0],
-            embedder=self.embedder,
-            fingerprint=self.fingerprint,
-        )

@@ -204,26 +204,3 @@ class NgramPostingsIndex(RetrievalIndex):
             norms=arrays["norms"],
             fingerprint=fingerprint,
         )
-
-    # ------------------------------------------------------------------
-    def slice_for(self, node_ids: np.ndarray) -> "NgramPostingsIndex":
-        """Shard-local slice: keep only postings entries owned by the shard.
-
-        ``idf``/``norms`` stay global (they are per-bucket / per-node and
-        the postings keep global ids), so per-shard scores are identical
-        to what the full index would assign those nodes — the union of
-        shard shortlists is therefore a superset of the global shortlist.
-        """
-        own = np.zeros(self.num_nodes, dtype=bool)
-        own[np.asarray(node_ids, dtype=np.int64)] = True
-        keep = own[self.postings]
-        csum = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
-        return NgramPostingsIndex(
-            self.config,
-            self.num_nodes,
-            offsets=csum[self.offsets],
-            postings=self.postings[keep],
-            idf=self.idf,
-            norms=self.norms,
-            fingerprint=self.fingerprint,
-        )

@@ -8,8 +8,8 @@ written-last/atomic manifest discipline as the rest of the bundle, so a
 crashed pack never leaves a loadable-but-wrong index.
 
 Loading memory-maps every array read-only (``np.load(mmap_mode="r")``),
-so N shard worker processes serving one bundle share a single page-cache
-copy of the postings/signature arrays.  A fingerprint mismatch (KB
+so N serving processes on one bundle share a single page-cache copy of
+the postings/signature arrays.  A fingerprint mismatch (KB
 surfaces, embedder params or retrieval config changed since packing)
 loads as ``None`` — callers rebuild and, when a manifest exists,
 :func:`repack_index` refreshes the entry in place.

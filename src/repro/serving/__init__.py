@@ -8,15 +8,12 @@ and :class:`ServiceStats` telemetry.  On top of it,
 :class:`AsyncLinkingService` (``scheduler``) accepts requests onto a
 queue and forms micro-batches under a latency deadline, and
 :class:`ShardedKB` (``sharding``) partitions the KB and its embedding
-cache for fan-out candidate scoring (``ServiceConfig(num_shards=N)``).
-Sharded scoring runs on threads by default or — with
-``ServiceConfig(shard_backend="process")`` — on a
-:class:`ShardWorkerPool` (``workers``) of long-lived worker processes
-for true GIL-free parallelism; results are bit-identical either way.
-Where the KB matrices live is a separate axis — ``ServiceConfig``'s
-``storage`` section (:class:`~repro.storage.StorageConfig`) picks the
-in-RAM or mmap-bundle backend and controls the shared-memory arena
-process workers draw their shard payloads from.
+cache for candidate scoring fanned out on threads
+(``ServiceConfig(num_shards=N)``); results are bit-identical to the
+unsharded service.  Where the KB matrices live is a separate axis —
+``ServiceConfig``'s ``storage`` section
+(:class:`~repro.storage.StorageConfig`) picks the in-RAM or mmap-bundle
+backend.
 
 The network front door is :class:`LinkingHTTPServer` (``http``): an
 asyncio + stdlib HTTP server over the async service speaking the typed,
@@ -66,12 +63,6 @@ from .wire import (  # noqa: F401
     WirePrediction,
     parse_stream_line,
 )
-from .workers import (  # noqa: F401
-    SHARD_BACKENDS,
-    ShardWorkerError,
-    ShardWorkerPool,
-    resolve_shard_backend,
-)
 
 __all__ = [
     "LinkingService",
@@ -84,10 +75,6 @@ __all__ = [
     "QueuedRequest",
     "ShardedKB",
     "KBShard",
-    "ShardWorkerPool",
-    "ShardWorkerError",
-    "SHARD_BACKENDS",
-    "resolve_shard_backend",
     "LinkingHTTPServer",
     "LinkerClient",
     "LinkerClientError",

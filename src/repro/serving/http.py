@@ -116,8 +116,8 @@ class LinkingHTTPServer:
     case the scheduler is built here with the config's ``deadline_ms``
     budget.  The server owns what it builds (and adopts what it is
     given): :meth:`close` drains the HTTP layer first, then closes the
-    async service, which drains its queue and shard workers on the
-    injected clock they already carry.
+    async service, which drains its queue before releasing the linking
+    service.
 
         server = LinkingHTTPServer(linker.serve(), HttpConfig(port=0))
         server.start()                      # or: with server: ...
@@ -213,8 +213,7 @@ class LinkingHTTPServer:
 
     def close(self, drain_timeout: float = 30.0) -> None:
         """Drain, wait for in-flight requests, stop serving, shut down the
-        wrapped async service (which drains its own queue and shard
-        workers on the clock injected at construction)."""
+        wrapped async service (which drains its own queue first)."""
         if self._closed.is_set():
             return
         self._closed.set()

@@ -18,12 +18,12 @@ condition variable whose wait timeout is the oldest pending deadline.
 Results are the same ``Prediction`` objects the sequential
 ``EDPipeline.disambiguate_snippet`` produces (the equivalence contract of
 the serving layer): compute is delegated to a ``LinkingService``, which
-may itself fan candidate scoring out across a
-:class:`~repro.serving.sharding.ShardedKB` — on threads or, with
-``ServiceConfig(shard_backend="process")``, on the long-lived worker
-processes of a :class:`~repro.serving.workers.ShardWorkerPool`.
-``close()`` joins the batch worker before closing the service, so shard
-workers only shut down once every queued request has been served.
+may itself fan candidate scoring out across the threads of a
+:class:`~repro.serving.sharding.ShardedKB`.  ``close()`` joins the batch
+worker before closing the service, so the shard threads only shut down
+once every queued request has been served.  A request that makes its
+micro-batch fail fails alone: the worker re-runs each half of a failed
+batch until the failing requests are isolated.
 
 Request latency (submit -> result) and queue wait (submit -> batch
 formed) are recorded into :class:`~repro.serving.stats.ServiceStats`,
@@ -299,18 +299,16 @@ class AsyncLinkingService:
         live = [r for r in batch if r.future.set_running_or_notify_cancel()]
         if not live:
             return
-        try:
-            predictions = self.service.link_batch([r.snippet for r in live])
-        except BaseException as exc:  # propagate to every waiter in the batch
-            for request in live:
-                request.future.set_exception(exc)
-            return
+        outcomes = self._link_isolating_failures(live)
         done_at = self.clock()
-        for request, prediction in zip(live, predictions):
+        for request, outcome in zip(live, outcomes):
+            if isinstance(outcome, Exception):
+                request.future.set_exception(outcome)
+                continue
             self.stats.record_latency(
                 done_at - request.enqueued_at, formed_at - request.enqueued_at
             )
-            request.future.set_result(prediction)
+            request.future.set_result(outcome)
         # Feed the policy loop: the controller's estimated-wait model
         # tracks the real drain rate, and the tuner AIMD-adjusts the
         # deadline/batch policy from the observed queue waits.
@@ -329,6 +327,27 @@ class AsyncLinkingService:
             self.stats.record_tuner(
                 self.tuner.deadline_ms, self.tuner.batch_size, self.tuner.adjustments
             )
+
+    def _link_isolating_failures(
+        self, requests: List[QueuedRequest]
+    ) -> List[Union[Prediction, Exception]]:
+        """One outcome per request: its prediction, or the exception that
+        linking it raised.
+
+        When a batch raises, each half is re-run on its own, recursively,
+        so the other requests of the micro-batch still get their
+        predictions: one bad request costs about ``2 * log2(n)`` extra
+        ``link_batch`` calls instead of failing every waiter.
+        """
+        try:
+            return list(self.service.link_batch([r.snippet for r in requests]))
+        except Exception as exc:
+            if len(requests) == 1:
+                return [exc]
+            middle = len(requests) // 2
+            return self._link_isolating_failures(
+                requests[:middle]
+            ) + self._link_isolating_failures(requests[middle:])
 
     # ------------------------------------------------------------------
     # Lifecycle

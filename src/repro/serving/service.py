@@ -46,7 +46,6 @@ from ..text.embedder import HashingNgramEmbedder
 from .admission import AdmissionConfig
 from .cache import LRUCache
 from .stats import ServiceStats
-from .workers import SHARD_BACKENDS, default_shard_backend
 
 
 class MemoizingEmbedder:
@@ -117,20 +116,16 @@ class ServiceConfig:
     top_k: int = 5
     restrict_to_candidates: bool = True
     ref_cache_path: Optional[str] = None  # persist KB embeddings here
-    num_shards: int = 1  # KB shards for fan-out candidate scoring
-    shard_workers: Optional[int] = None  # worker threads (default: one per shard)
-    # Shard execution backend: "thread" (in-process pool) or "process"
-    # (long-lived forked workers, one GIL per shard).  Defaults to the
-    # REPRO_SHARD_BACKEND environment variable when set.
-    shard_backend: str = field(default_factory=default_shard_backend)
+    # KB shards for fan-out candidate scoring, on min(num_shards,
+    # cpu_count) threads.
+    num_shards: int = 1
     # Optional network front door (repro.serving.http); a dict — the shape
     # dataclasses.asdict and the LinkerConfig JSON round trip produce — is
     # strictly coerced into an HttpConfig.
     http: Optional[HttpConfig] = None
-    # Where the KB feature table and reference-embedding matrix live and
-    # how process-shard payloads ship (repro.storage); like http, the
-    # dict form from asdict / the LinkerConfig JSON round trip is
-    # strictly coerced.
+    # Where the KB feature table and reference-embedding matrix live
+    # (repro.storage); like http, the dict form from asdict / the
+    # LinkerConfig JSON round trip is strictly coerced.
     storage: StorageConfig = field(default_factory=StorageConfig)
     # Overload policy of the async scheduler (repro.serving.admission):
     # queue bound, shed policy (default $REPRO_ADMISSION), priorities,
@@ -143,11 +138,6 @@ class ServiceConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"unknown shard_backend {self.shard_backend!r}; "
-                f"options: {SHARD_BACKENDS}"
-            )
         if isinstance(self.http, dict):
             try:
                 self.http = HttpConfig(**self.http)
@@ -261,11 +251,7 @@ class LinkingService:
         self._fingerprint = current
         self._cache.clear()
         self.stats.record_ref_refresh()
-        self.stats.record_storage(
-            self._kb_store.backend,
-            ship_bytes=self._sharded.payload_ship_bytes if self._sharded else 0,
-            arena_segments=self._sharded.arena_segments if self._sharded else 0,
-        )
+        self.stats.record_storage(self._kb_store.backend)
         return True
 
     def _refresh_shards(
@@ -278,10 +264,9 @@ class LinkingService:
         """(Re)build or warm-start the sharded scoring backend.
 
         When only the weights changed (KB version/shape untouched) the
-        shard views stay valid and the fresh embedding matrix is just
-        re-sliced into them — the warm-start ref-cache distribution
-        (with arena-published payloads, an in-place segment rewrite);
-        any KB change rebuilds the partition."""
+        partition stays valid and the fresh embedding matrix is just
+        re-sliced into it — the warm-start ref-cache distribution; any
+        KB change rebuilds the partition."""
         from .sharding import ShardedKB
 
         kb_unchanged = previous is not None and previous[1:] == current[1:]
@@ -296,15 +281,7 @@ class LinkingService:
             self.pipeline,
             self.config.num_shards,
             ref_embeddings=h_ref,
-            max_workers=self.config.shard_workers,
-            backend=self.config.shard_backend,
-            storage=self.config.storage,
             ref_features=x_ref,
-            # An indexed generator's retrieval index rides along so each
-            # shard carries its local slice of the postings/signatures.
-            retrieval_index=getattr(
-                self.pipeline.candidate_generator, "retrieval_index", None
-            ),
         )
 
     @property
@@ -324,9 +301,7 @@ class LinkingService:
         return self._embedding_store
 
     def close(self) -> None:
-        """Release shard workers (thread pool or worker processes, plus
-        any shared-memory arena they published) and the storage
-        backends."""
+        """Release the shard thread pool and the storage backends."""
         if self._sharded is not None:
             self._sharded.close()
         self._kb_store.close()
@@ -433,8 +408,7 @@ class LinkingService:
         self.stats.record_request(len(snippets))
         self.stats.record_cache(hits, misses)
         if self._sharded is not None:
-            calls, seconds = self._sharded.shard_telemetry()
-            self.stats.record_shards(self._sharded.respawns, calls, seconds)
+            self.stats.record_shards(*self._sharded.shard_telemetry())
         generator = self.pipeline.candidate_generator
         self.stats.record_candidate_sources(
             getattr(generator, "name", type(generator).__name__),

@@ -1,45 +1,20 @@
 """KB sharding for multi-worker serving.
 
-``ShardedKB`` partitions the reference KB — its node set, feature rows,
-and the fingerprinted reference-embedding matrix the serving layer
+``ShardedKB`` partitions the reference KB's scoring state — its feature
+rows and the fingerprinted reference-embedding matrix the serving layer
 already caches — into ``num_shards`` shards routed by candidate id
 (``candidate_id % num_shards``).  A query's candidate set is scattered to
-the shards that own each candidate, scored by shard workers on a
-``concurrent.futures`` pool, and gathered back into the original
-candidate order, so the merged scores are byte-identical to scoring
-against the unsharded KB: the matching math is per (mention, candidate)
-pair and never mixes rows.
+the shards that own each candidate, scored on a ``concurrent.futures``
+thread pool, and gathered back into the original candidate order, so the
+merged scores are byte-identical to scoring against the unsharded KB:
+the matching math is per (mention, candidate) pair and never mixes rows.
 
 Shard placement is arithmetic (owner ``id % N``, local row ``id // N``),
-which keeps the scatter O(candidates) with no lookup tables, and each
-shard carries a shard-local :class:`~repro.graph.hetero.HeteroGraph` view
-(``HeteroGraph.subgraph``, the columnar inverse of ``splice``) so a
-worker holding only its shard still has the full node/edge context.
-
-Two execution backends share the routing and the exact same scoring
-math (``backend=``, default ``"thread"``, overridable via the
-``REPRO_SHARD_BACKEND`` environment variable):
-
-* ``"thread"`` — a ``concurrent.futures`` thread pool in-process; cheap,
-  always available, but the per-shard numpy bookkeeping contends on the
-  GIL;
-* ``"process"`` — a :class:`~repro.serving.workers.ShardWorkerPool` of
-  long-lived worker processes, each shipped its pickled shard once at
-  startup; scoring requests carry only the micro-batch's query matrices
-  and id arrays, so N shards score on N independent GILs.  Falls back to
-  threads (with a warning) when the platform cannot fork or spawn.
+which keeps the scatter O(candidates) with no lookup tables.
 
 Embeddings are distributed warm-start: the full matrix is computed (or
 loaded from the persisted ref cache) once and sliced per shard —
-:meth:`ShardedKB.distribute` re-slices after a weight refresh without
-touching the shard views, and pushes the fresh slices (plus the
-refreshed matcher state) to live process workers.
-
-When built with a ``retrieval_index`` (see :mod:`repro.retrieval`), each
-shard also carries its slice of the sublinear candidate index —
-:meth:`ShardedKB.candidates_for` fans a surface form across the shards
-and unions the shard-local shortlists, on the same thread/process
-backends as scoring.
+:meth:`ShardedKB.distribute` re-slices after a weight refresh.
 """
 
 from __future__ import annotations
@@ -56,19 +31,6 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..core.pipeline import EDPipeline
 from ..core.query_graph import QueryGraph
-from ..graph.hetero import HeteroGraph
-from ..retrieval.base import RetrievalIndex
-from ..storage import StorageConfig, shared_memory_available
-from .workers import (
-    CandidateJob,
-    RetrievalSpec,
-    ScoreJob,
-    ScorerSpec,
-    ShardPayload,
-    ShardWorkerError,
-    ShardWorkerPool,
-    resolve_shard_backend,
-)
 
 
 @dataclass
@@ -77,59 +39,38 @@ class KBShard:
 
     ``node_ids`` are the global KB ids this shard owns (every id with
     ``id % num_shards == index``, ascending); row ``i`` of ``h_ref`` /
-    ``x_ref`` and node ``i`` of :attr:`view` correspond to global node
-    ``node_ids[i]``, so the local row of global id ``g`` is simply
-    ``g // num_shards``.
+    ``x_ref`` corresponds to global node ``node_ids[i]``, so the local
+    row of global id ``g`` is simply ``g // num_shards``.
     """
 
     index: int
     node_ids: np.ndarray
     h_ref: np.ndarray
     x_ref: np.ndarray
-    kb: HeteroGraph
-    #: shard-local slice of the sublinear candidate index (global ids),
-    #: present when the ``ShardedKB`` was built with one
-    retrieval: Optional[RetrievalIndex] = None
-    _view: Optional[HeteroGraph] = None
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def view(self) -> HeteroGraph:
-        """Shard-local induced subgraph, built lazily: the thread-based
-        scoring path only needs ``h_ref``/``x_ref`` rows, so the O(V+E)
-        extraction is deferred until a consumer (e.g. a process-based
-        worker that must re-embed locally) actually asks for it.  Any KB
-        change rebuilds the whole ``ShardedKB``, so the cache stays
-        consistent."""
-        if self._view is None:
-            self._view = self.kb.subgraph(self.node_ids)
-        return self._view
-
 
 class ShardedKB:
-    """Candidate-id-routed shards of the KB with fan-out scoring."""
+    """Candidate-id-routed shards of the KB with thread fan-out scoring.
+
+    Scoring runs on a pool of ``min(num_shards, cpu_count)`` threads; a
+    single shard scores inline.
+    """
 
     def __init__(
         self,
         pipeline: EDPipeline,
         num_shards: int,
         ref_embeddings: Optional[np.ndarray] = None,
-        max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        storage: Optional[StorageConfig] = None,
         ref_features: Optional[np.ndarray] = None,
-        retrieval_index: Optional[RetrievalIndex] = None,
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.pipeline = pipeline
         self.num_shards = num_shards
-        self.backend = resolve_shard_backend(backend)
-        self.storage = storage or StorageConfig()
-        self.retrieval_index = retrieval_index
         # Warm start: reuse an already-computed (or cache-loaded) matrix
         # instead of re-embedding the KB per shard.
         h_ref = pipeline.ref_embeddings() if ref_embeddings is None else np.asarray(ref_embeddings)
@@ -151,82 +92,17 @@ class ShardedKB:
                     node_ids=node_ids,
                     h_ref=np.ascontiguousarray(h_ref[node_ids]),
                     x_ref=np.ascontiguousarray(features[node_ids]),
-                    kb=kb,
-                    retrieval=(
-                        None
-                        if retrieval_index is None
-                        else retrieval_index.slice_for(node_ids)
-                    ),
                 )
             )
-        # Per-shard score telemetry for the thread/inline paths (process
-        # workers report their own timings over the reply pipe; see
-        # shard_telemetry for the merged view).
         self._telemetry_lock = threading.Lock()
         self._shard_calls = [0] * num_shards
         self._shard_seconds = [0.0] * num_shards
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._pool: Optional[ShardWorkerPool] = None
         if num_shards > 1:
-            if self.backend == "process":
-                self._pool = self._build_pool()
-            if self._pool is None:
-                workers = max_workers or min(num_shards, os.cpu_count() or 1)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="kb-shard"
-                )
-        else:
-            # One shard scores inline — reporting "process" here would
-            # claim workers that do not exist.
-            self.backend = "thread"
-
-    def _build_pool(self) -> Optional[ShardWorkerPool]:
-        """Fork the long-lived shard workers, shipping each its pickled
-        shard (view + embedding slice + scorer state) once.  A startup
-        failure — fork/resource errors, a worker dying in its handshake,
-        an unpicklable payload — degrades to the thread backend instead
-        of taking the service down."""
-        import pickle
-        import warnings
-
-        scorer = ScorerSpec.from_model(self.pipeline.model)
-        # Arena mode publishes the matrices into shared memory and ships
-        # descriptors; workers score without the subgraph view, so the
-        # O(V+E) extraction (and its pickle bytes) is skipped entirely.
-        # The classic pickled path keeps shipping the view unchanged.
-        use_arena = self.storage.share_payloads and shared_memory_available()
-        payloads = [
-            ShardPayload(
-                index=shard.index,
-                num_shards=self.num_shards,
-                node_ids=shard.node_ids,
-                h_ref=shard.h_ref,
-                x_ref=shard.x_ref,
-                scorer=scorer,
-                view=None if use_arena else shard.view,
-                retrieval=(
-                    None
-                    if shard.retrieval is None
-                    else RetrievalSpec.from_index(shard.retrieval)
-                ),
+            self._executor = ThreadPoolExecutor(
+                max_workers=min(num_shards, os.cpu_count() or 1),
+                thread_name_prefix="kb-shard",
             )
-            for shard in self.shards
-        ]
-        try:
-            return ShardWorkerPool(payloads, use_arena=use_arena)
-        # TypeError/AttributeError are what the pickler actually raises
-        # for unpicklable payload members ("cannot pickle '...' object").
-        except (
-            OSError, ShardWorkerError, pickle.PickleError, TypeError, AttributeError
-        ) as exc:
-            warnings.warn(
-                f"could not start process shard workers ({exc}); "
-                "falling back to threads",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.backend = "thread"
-            return None
 
     # ------------------------------------------------------------------
     # Routing
@@ -244,19 +120,12 @@ class ShardedKB:
     # ------------------------------------------------------------------
     def distribute(self, ref_embeddings: np.ndarray) -> None:
         """Re-slice a freshly computed full embedding matrix into the
-        shards (warm-start after a weight refresh; views are untouched).
-        Live process workers receive their fresh slice plus the current
-        matcher state over the pipe — no worker restart."""
+        shards (warm-start after a weight refresh)."""
         ref_embeddings = np.asarray(ref_embeddings)
         if ref_embeddings.shape[0] != self.pipeline.kb.num_nodes:
             raise ValueError("ref_embeddings rows must match the KB node count")
         for shard in self.shards:
             shard.h_ref = np.ascontiguousarray(ref_embeddings[shard.node_ids])
-        if self._pool is not None:
-            self._pool.distribute(
-                [shard.h_ref for shard in self.shards],
-                ScorerSpec.from_model(self.pipeline.model),
-            )
 
     # ------------------------------------------------------------------
     # Scoring
@@ -286,30 +155,7 @@ class ShardedKB:
                 continue
             tasks.append((positions, shard, query_ids[positions], ref_ids[positions] // self.num_shards))
 
-        if self._pool is not None:
-            # Process fan-out: the chunk references only a handful of
-            # distinct query rows (one mention node per graph), so ship
-            # just those rows — remapped parent-side — rather than the
-            # whole union embedding matrix; each worker gathers and
-            # scores against its resident shard on a private GIL.  Row
-            # selection is exact, so scores are unchanged.
-            unique_ids, remapped = np.unique(query_ids, return_inverse=True)
-            h_q = h_query.data[unique_ids]
-            x_q = x_query.data[unique_ids] if x_query is not None else None
-            jobs = [
-                ScoreJob(
-                    shard_index=shard.index,
-                    h_query=h_q,
-                    query_ids=remapped[positions],
-                    ref_ids=local_ids,
-                    x_query=x_q,
-                )
-                for positions, shard, _, local_ids in tasks
-            ]
-            parts = list(
-                zip([positions for positions, *_ in tasks], self._pool.score_many(jobs))
-            )
-        elif self._executor is None or len(tasks) <= 1:
+        if self._executor is None or len(tasks) <= 1:
             parts = [
                 (positions, self._score_on_shard(shard, h_query, q_ids, local_ids, x_query))
                 for positions, shard, q_ids, local_ids in tasks
@@ -365,64 +211,12 @@ class ShardedKB:
         return self.score_pairs_flat(h_qry, mention_ids, candidate_ids, x_query=x_qry)
 
     # ------------------------------------------------------------------
-    # Candidate shortlisting
-    # ------------------------------------------------------------------
-    def candidates_for(
-        self, surface: str, query_vec: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Union of the shard-local retrieval shortlists for a surface.
-
-        Each shard's slice keeps global node ids and the full index's
-        global weights (idf/norms for n-gram, hyperplanes for LSH), so a
-        shard's local top-``shortlist`` is at least as deep as the global
-        ranking restricted to its nodes — the union is a superset of the
-        unsharded shortlist.  ``query_vec`` is the surface's embedder
-        vector; the LSH backend requires it on the process backend
-        (workers hold no embedder).  Returns sorted unique int64 ids.
-        """
-        shards = [shard for shard in self.shards if shard.retrieval is not None]
-        if not shards:
-            raise RuntimeError(
-                "ShardedKB was built without a retrieval index; "
-                "pass retrieval_index= to shard candidate shortlisting"
-            )
-        if query_vec is not None:
-            query_vec = np.ascontiguousarray(query_vec, dtype=np.float32)
-        if self._pool is not None:
-            jobs = [
-                CandidateJob(
-                    shard_index=shard.index, surface=surface, query_vec=query_vec
-                )
-                for shard in shards
-            ]
-            parts = self._pool.score_many(jobs)
-        elif self._executor is not None and len(shards) > 1:
-            futures = [
-                self._executor.submit(
-                    shard.retrieval.query, surface, query_vec=query_vec
-                )
-                for shard in shards
-            ]
-            parts = [future.result() for future in futures]
-        else:
-            parts = [
-                shard.retrieval.query(surface, query_vec=query_vec)
-                for shard in shards
-            ]
-        return np.unique(
-            np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
-        )
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def __enter__(self) -> "ShardedKB":
         return self
@@ -430,46 +224,11 @@ class ShardedKB:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @property
-    def worker_pool(self) -> Optional[ShardWorkerPool]:
-        """The process worker pool, or ``None`` on the thread backend."""
-        return self._pool
-
-    @property
-    def respawns(self) -> int:
-        """Lifetime worker respawns (0 on the thread backend)."""
-        return self._pool.respawns if self._pool is not None else 0
-
     def shard_telemetry(self) -> Tuple[List[int], List[float]]:
-        """Per-shard (score calls, wall seconds), merged across backends:
-        thread/inline scoring is timed parent-side, process workers
-        report their own compute time over the reply pipe."""
+        """Per-shard (score calls, wall seconds)."""
         with self._telemetry_lock:
-            calls = list(self._shard_calls)
-            seconds = list(self._shard_seconds)
-        if self._pool is not None:
-            calls = [c + pc for c, pc in zip(calls, self._pool.shard_calls)]
-            seconds = [s + ps for s, ps in zip(seconds, self._pool.shard_seconds)]
-        return calls, seconds
-
-    @property
-    def payload_ship_bytes(self) -> int:
-        """Bytes of payload (init/refresh) traffic actually written to
-        the worker command pipes (0 on the thread backend)."""
-        return self._pool.payload_ship_bytes if self._pool is not None else 0
-
-    @property
-    def arena_segments(self) -> int:
-        """Shared-memory segments currently published for the workers
-        (0 without an arena)."""
-        pool = self._pool
-        if pool is None or pool.arena is None:
-            return 0
-        return pool.arena.num_segments
+            return list(self._shard_calls), list(self._shard_seconds)
 
     def __repr__(self) -> str:
         sizes = "+".join(str(s.num_nodes) for s in self.shards)
-        return (
-            f"ShardedKB(num_shards={self.num_shards}, "
-            f"backend={self.backend!r}, nodes={sizes})"
-        )
+        return f"ShardedKB(num_shards={self.num_shards}, nodes={sizes})"

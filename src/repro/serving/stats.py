@@ -33,16 +33,15 @@ class ServiceStats:
     cache_hits: int = 0
     cache_misses: int = 0
     batches: int = 0  # micro-batch forward passes
-    batch_sizes: List[int] = field(default_factory=list)
+    # Running sum and maximum of micro-batch sizes: a long-lived server
+    # must not keep one entry per batch.
+    batched_mentions: int = 0
+    largest_batch: int = 0
     ref_refreshes: int = 0  # reference-embedding cache rebuilds
     compute_seconds: float = 0.0  # wall time inside batched forwards
     # Storage telemetry (repro.storage): which backend serves the KB
-    # matrices, how many payload bytes actually crossed the worker
-    # command pipes, how many shared-memory segments are published, and
-    # the cost of warm-start distribute() publishes.
+    # matrices, and the cost of warm-start distribute() publishes.
     storage_backend: str = "memory"
-    payload_ship_bytes: int = 0
-    arena_segments: int = 0
     publishes: int = 0  # warm-start distribute() calls
     publish_seconds: float = 0.0  # wall time inside those publishes
     # Candidate-generation telemetry (repro.retrieval): which generator
@@ -62,10 +61,8 @@ class ServiceStats:
     tuner_deadline_ms: float = 0.0
     tuner_batch_size: int = 0
     tuner_adjustments: int = 0
-    # Per-shard telemetry (repro.serving.sharding/workers): lifetime
-    # worker respawns and per-shard score calls / wall time, snapshotted
-    # from the sharded backend's own counters.
-    shard_respawns: int = 0
+    # Per-shard telemetry (repro.serving.sharding): per-shard score calls
+    # and wall time, snapshotted from the sharded backend's own counters.
     shard_score_calls: List[int] = field(default_factory=list)
     shard_score_seconds: List[float] = field(default_factory=list)
     # submit -> result / submit -> batch formed, most recent LATENCY_WINDOW
@@ -83,7 +80,8 @@ class ServiceStats:
 
     def record_batch(self, size: int, seconds: float) -> None:
         self.batches += 1
-        self.batch_sizes.append(size)
+        self.batched_mentions += size
+        self.largest_batch = max(self.largest_batch, size)
         self.compute_seconds += seconds
 
     def record_cache(self, hits: int, misses: int) -> None:
@@ -93,13 +91,9 @@ class ServiceStats:
     def record_ref_refresh(self) -> None:
         self.ref_refreshes += 1
 
-    def record_storage(
-        self, backend: str, ship_bytes: int = 0, arena_segments: int = 0
-    ) -> None:
-        """Snapshot of the storage backend's state (gauges, not deltas)."""
+    def record_storage(self, backend: str) -> None:
+        """The storage backend serving the KB matrices (a gauge)."""
         self.storage_backend = backend
-        self.payload_ship_bytes = ship_bytes
-        self.arena_segments = arena_segments
 
     def record_publish(self, seconds: float) -> None:
         """One warm-start ``distribute()`` publish and its wall time."""
@@ -141,12 +135,9 @@ class ServiceStats:
         self.tuner_batch_size = batch_size
         self.tuner_adjustments = adjustments
 
-    def record_shards(
-        self, respawns: int, calls: List[int], seconds: List[float]
-    ) -> None:
-        """Snapshot of the sharded backend's lifetime counters: worker
-        respawns plus per-shard score calls and wall time (gauges)."""
-        self.shard_respawns = respawns
+    def record_shards(self, calls: List[int], seconds: List[float]) -> None:
+        """Snapshot of the sharded backend's lifetime per-shard score
+        calls and wall time (gauges)."""
         self.shard_score_calls = list(calls)
         self.shard_score_seconds = list(seconds)
 
@@ -174,17 +165,16 @@ class ServiceStats:
 
     @property
     def mean_batch_size(self) -> float:
-        return sum(self.batch_sizes) / len(self.batch_sizes) if self.batch_sizes else 0.0
+        return self.batched_mentions / self.batches if self.batches else 0.0
 
     @property
     def max_batch_size(self) -> int:
-        return max(self.batch_sizes) if self.batch_sizes else 0
+        return self.largest_batch
 
     @property
     def mentions_per_second(self) -> float:
         """Throughput of the compute path (cached hits cost ~nothing)."""
-        computed = sum(self.batch_sizes)
-        return computed / self.compute_seconds if self.compute_seconds > 0 else 0.0
+        return self.batched_mentions / self.compute_seconds if self.compute_seconds > 0 else 0.0
 
     def latency_percentile(self, p: float) -> float:
         """p-th percentile of request latency in ms over the most recent
@@ -223,8 +213,6 @@ class ServiceStats:
             "compute_seconds": round(self.compute_seconds, 4),
             "mentions_per_second": round(self.mentions_per_second, 2),
             "storage_backend": self.storage_backend,
-            "payload_ship_bytes": self.payload_ship_bytes,
-            "arena_segments": self.arena_segments,
             "publishes": self.publishes,
             "publish_ms": round(self.publish_seconds * 1000.0, 2),
             "candidate_generator": self.candidate_generator,
@@ -246,7 +234,6 @@ class ServiceStats:
             )
         if self.shard_score_calls:
             payload.update(
-                shard_respawns=self.shard_respawns,
                 shard_score_calls=list(self.shard_score_calls),
                 shard_score_ms=[
                     round(s * 1000.0, 2) for s in self.shard_score_seconds
@@ -302,8 +289,6 @@ class ServiceStats:
             ("tuner_adjustments", self.tuner_adjustments, "adaptive tuner policy adjustments"),
             ("mean_batch_size", self.mean_batch_size, "mean micro-batch size"),
             ("mentions_per_second", self.mentions_per_second, "compute-path throughput"),
-            ("storage_payload_ship_bytes", self.payload_ship_bytes, "payload bytes shipped over worker pipes"),
-            ("storage_arena_segments", self.arena_segments, "published shared-memory segments"),
         ]
         lines: List[str] = []
         for name, value, help_text in counters:
@@ -328,9 +313,6 @@ class ServiceStats:
                     f"{values.get(priority, 0)}"
                 )
         lines += [
-            f"# HELP {prefix}_shard_respawns_total lifetime shard worker respawns",
-            f"# TYPE {prefix}_shard_respawns_total counter",
-            f"{prefix}_shard_respawns_total {self.shard_respawns}",
             f"# HELP {prefix}_shard_score_calls_total per-shard score fan-out calls",
             f"# TYPE {prefix}_shard_score_calls_total counter",
         ]
@@ -395,12 +377,11 @@ class ServiceStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.batches = 0
-        self.batch_sizes = []
+        self.batched_mentions = 0
+        self.largest_batch = 0
         self.ref_refreshes = 0
         self.compute_seconds = 0.0
         self.storage_backend = "memory"
-        self.payload_ship_bytes = 0
-        self.arena_segments = 0
         self.publishes = 0
         self.publish_seconds = 0.0
         self.candidate_generator = "exact"
@@ -413,7 +394,6 @@ class ServiceStats:
         self.tuner_deadline_ms = 0.0
         self.tuner_batch_size = 0
         self.tuner_adjustments = 0
-        self.shard_respawns = 0
         self.shard_score_calls = []
         self.shard_score_seconds = []
         self.latencies_ms = deque(maxlen=LATENCY_WINDOW)

@@ -2,17 +2,14 @@
 
 The seam (:class:`KBStore` / :class:`EmbeddingStore`, configured by
 :class:`StorageConfig`) decouples where the KB feature table and the
-reference-embedding matrix live from how serving uses them; the
-:class:`SharedMemoryArena` additionally moves process-shard payload
-shipping off the command pipes.  :func:`open_stores` is the one
-factory the serving layer calls.
+reference-embedding matrix live from how serving uses them.
+:func:`open_stores` is the one factory the serving layer calls.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .arena import ArraySpec, SharedMemoryArena, attach_array, shared_memory_available
 from .base import (
     KB_STORE_ENV,
     KB_STORES,
@@ -29,22 +26,18 @@ from .memory import MemoryEmbeddingStore, MemoryKBStore
 __all__ = [
     "KB_STORES",
     "KB_STORE_ENV",
-    "ArraySpec",
     "EmbeddingStore",
     "KBStore",
     "MemoryEmbeddingStore",
     "MemoryKBStore",
     "MmapStore",
-    "SharedMemoryArena",
     "StorageConfig",
     "StorageError",
-    "attach_array",
     "content_fingerprint",
     "default_kb_store",
     "open_stores",
     "pack_bundle",
     "resolve_kb_store",
-    "shared_memory_available",
     "weights_crc",
 ]
 

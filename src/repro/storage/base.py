@@ -2,8 +2,7 @@
 
 Serving historically assumed both the KB feature table and the
 reference-embedding matrix live as plain in-RAM numpy arrays owned by
-the process.  That couples KB size to one process's memory and makes
-every process-shard worker pay a full pickled copy of its slice.  This
+the process.  That couples KB size to one process's memory.  This
 module splits *where those matrices live* out of *how they are used*:
 
 * :class:`KBStore` — serves the KB's node feature matrix (``x_ref``);
@@ -21,12 +20,7 @@ Two backends implement the seam (``KB_STORES``):
 * ``"mmap"`` — both matrices persisted as ``.npy`` array files in a
   *bundle* directory (see :mod:`repro.storage.bundle`) and served as
   read-only memory maps, so a KB larger than one process's RAM is
-  servable and N forked workers share one page cache.
-
-The third storage piece, :class:`~repro.storage.arena.SharedMemoryArena`,
-is orthogonal to the store choice: it publishes process-shard payloads
-via ``multiprocessing.shared_memory`` so worker startup ships segment
-descriptors instead of pickled matrices (``StorageConfig.share_payloads``).
+  servable and N serving processes on one host share one page cache.
 
 Every backend serves bit-identical bytes — scores never depend on where
 the matrices live.
@@ -59,8 +53,7 @@ KB_STORE_ENV = "REPRO_KB_STORE"
 
 
 class StorageError(RuntimeError):
-    """A storage backend failed (corrupt bundle, missing arrays, a
-    shared-memory segment that cannot be mapped)."""
+    """A storage backend failed (corrupt bundle, missing arrays)."""
 
 
 def default_kb_store() -> str:
@@ -82,8 +75,7 @@ def resolve_kb_store(requested: Optional[str] = None) -> str:
 
 @dataclass(frozen=True)
 class StorageConfig:
-    """Where the KB feature table and embedding matrix live, and how
-    process-shard payloads are shipped.
+    """Where the KB feature table and embedding matrix live.
 
     Lives inside :class:`~repro.serving.ServiceConfig` as the
     ``storage`` section; the JSON round trip is strict and exact like
@@ -96,11 +88,6 @@ class StorageConfig:
     #: bundle directory for the mmap store (``repro kb pack`` output).
     #: None packs into a private temporary bundle, removed on close().
     bundle_path: Optional[str] = None
-    #: publish process-shard payloads via multiprocessing.shared_memory
-    #: (worker startup ships (shm name, dtype, shape, offset) descriptors
-    #: instead of pickled matrices).  Ignored on the thread backend and
-    #: on platforms without POSIX shared memory.
-    share_payloads: bool = True
 
     def __post_init__(self):
         if self.kb_store not in KB_STORES:
@@ -109,8 +96,6 @@ class StorageConfig:
             )
         if self.bundle_path is not None and not isinstance(self.bundle_path, str):
             raise ValueError("storage bundle_path must be a path string (or null)")
-        if not isinstance(self.share_payloads, bool):
-            raise ValueError("storage share_payloads must be a boolean")
 
 
 class KBStore:

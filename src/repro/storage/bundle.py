@@ -13,9 +13,9 @@ manifest::
 
 ``repro kb pack`` builds one from a checkpoint; :class:`MmapStore`
 serves it with ``np.load(..., mmap_mode="r")``, so the matrices live in
-the page cache rather than anonymous process memory — N forked shard
-workers share one copy, and a KB larger than any single worker's RAM
-budget is servable.  ``np.save``/``np.load`` round-trip float arrays
+the page cache rather than anonymous process memory — N serving
+processes on one host share one copy, and a KB larger than any single
+process's RAM budget is servable.  ``np.save``/``np.load`` round-trip float arrays
 bit-exactly, so scores are identical to the in-RAM backend.
 
 Staleness is handled by content, not by trust: the manifest records a

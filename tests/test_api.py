@@ -153,30 +153,6 @@ class TestLinkerConfigRoundTrip:
         loaded = LinkerConfig.from_json(config.to_json())
         assert loaded.service == config.service
 
-    def test_shard_backend_round_trips(self):
-        config = small_config(
-            service=ServiceConfig(num_shards=4, shard_backend="process")
-        )
-        loaded = LinkerConfig.from_json(config.to_json())
-        assert loaded.service.shard_backend == "process"
-        assert loaded.to_dict() == config.to_dict()
-
-    def test_unknown_shard_backend_rejected(self):
-        with pytest.raises(ValueError, match="shard_backend"):
-            ServiceConfig(shard_backend="fibers")
-        payload = small_config().to_dict()
-        payload["service"]["shard_backend"] = "fibers"
-        with pytest.raises(ValueError, match="shard_backend"):
-            LinkerConfig.from_dict(payload)
-
-    def test_shard_backend_env_default(self, monkeypatch):
-        from repro.serving.workers import SHARD_BACKEND_ENV
-
-        monkeypatch.setenv(SHARD_BACKEND_ENV, "process")
-        assert ServiceConfig().shard_backend == "process"
-        monkeypatch.delenv(SHARD_BACKEND_ENV)
-        assert ServiceConfig().shard_backend == "thread"
-
     def test_defaults_round_trip(self):
         config = LinkerConfig()
         assert LinkerConfig.from_json(config.to_json()).to_dict() == config.to_dict()
@@ -218,6 +194,21 @@ class TestLinkerConfigRejection:
         payload = LinkerConfig().to_dict()
         payload["schema_version"] = CONFIG_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="unsupported LinkerConfig schema_version"):
+            LinkerConfig.from_dict(payload)
+
+    def test_v1_payload_rejected_naming_removed_keys(self):
+        payload = small_config().to_dict()
+        payload["schema_version"] = 1
+        payload["service"]["shard_backend"] = "thread"
+        with pytest.raises(
+            ValueError,
+            match=r"schema_version 1 .*service\.shard_backend, "
+            r"service\.shard_workers, service\.storage\.share_payloads",
+        ):
+            LinkerConfig.from_dict(payload)
+        # Nor does the current version accept a removed key silently.
+        payload["schema_version"] = CONFIG_SCHEMA_VERSION
+        with pytest.raises(ValueError, match="bad service section.*shard_backend"):
             LinkerConfig.from_dict(payload)
 
     def test_missing_schema_version(self):
@@ -317,16 +308,6 @@ class TestLinkerConstruction:
         assert isinstance(linker.pipeline.candidate_generator, ExactCandidateGenerator)
         assert linker.pipeline.fuzzy_candidates is False
 
-    def test_deprecated_fuzzy_kwarg_warns_but_works(self, dataset):
-        with pytest.warns(DeprecationWarning, match="fuzzy_candidates"):
-            pipeline = EDPipeline(
-                dataset.kb,
-                model_config=ModelConfig(**SMALL_MODEL),
-                embedder=HashingNgramEmbedder(dim=32),
-                fuzzy_candidates=True,
-            )
-        assert isinstance(pipeline.candidate_generator, FuzzyFallbackCandidateGenerator)
-
 
 class TestLinkerPersistence:
     def test_save_writes_self_describing_checkpoint(self, trained, tmp_path):
@@ -408,15 +389,12 @@ class TestLinkerServe:
         assert trained.config.service.max_batch_size == ServiceConfig().max_batch_size
         service.close()
 
-    def test_serve_shard_backend_override(self, trained):
-        service = trained.serve(shards=2, shard_backend="process", cache_size=0)
+    def test_serve_shards_override(self, trained):
+        service = trained.serve(shards=2, cache_size=0)
         try:
             assert service.config.num_shards == 2
-            assert service.config.shard_backend == "process"
-            # resolve_shard_backend may degrade to threads on platforms
-            # that cannot fork; either way the seam is plumbed through.
             assert service.sharded is not None
-            assert service.sharded.backend in ("thread", "process")
+            assert service.sharded.num_shards == 2
         finally:
             service.close()
 

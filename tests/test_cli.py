@@ -142,10 +142,8 @@ class TestServe:
         assert "serving stats:" in out
         assert "mentions_per_second" in out
 
-    def test_sharded_process_backend_split(self, checkpoint, capsys):
-        # --shard-backend process plumbs through Linker.serve into the
-        # ShardWorkerPool (degrading to threads only where fork/spawn is
-        # unavailable); results stay identical either way.
+    def test_sharded_split(self, checkpoint, capsys):
+        # --shards plumbs through Linker.serve into thread shards.
         assert main(
             [
                 "serve",
@@ -155,7 +153,6 @@ class TestServe:
                 "--limit", "4",
                 "--batch-size", "4",
                 "--shards", "2",
-                "--shard-backend", "process",
                 "--json",
             ]
         ) == 0
@@ -361,7 +358,7 @@ class TestConfig:
     def test_validate_rejects_incomplete_section_cleanly(self, tmp_path):
         # No raw KeyError traceback: a sited SystemExit instead.
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"schema_version": 1, "train": {"epochs": 10}}))
+        path.write_text(json.dumps({"schema_version": 2, "train": {"epochs": 10}}))
         with pytest.raises(SystemExit, match="bad train section"):
             main(["config", "validate", str(path)])
 
@@ -597,15 +594,14 @@ class TestServeSigpipe:
     def test_closed_stdout_during_storage_init_exits_clean(self, checkpoint):
         # A downstream consumer hanging up while serve is still packing /
         # mapping the bundle (storage init) must end the process SIGPIPE-
-        # clean: exit 0, no traceback on stderr — for both the plain and
-        # the process-shard + arena paths.
+        # clean: exit 0, no traceback on stderr — unsharded and sharded.
         import subprocess
         import sys
 
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(root, "src")
-        for extra in ([], ["--shards", "2", "--shard-backend", "process"]):
+        for extra in ([], ["--shards", "2"]):
             proc = subprocess.Popen(
                 [
                     sys.executable, "-m", "repro", "serve",

@@ -12,8 +12,6 @@ Covers the acceptance contract of the indexed-generator tentpole:
   oracle exactly when the shortlist covers the whole KB;
 * packed indexes round-trip bit-exactly through a PR-7 bundle,
   staleness rebuilds + repacks, corruption raises ``StorageError``;
-* per-shard slices keep global scoring, so the union of shard
-  shortlists is a superset of the unsharded shortlist;
 * candidate telemetry lands in ``ServiceStats`` and its Prometheus
   rendering.
 """
@@ -40,7 +38,6 @@ from repro.retrieval import (
     repack_index,
     retrieval_fingerprint,
 )
-from repro.serving.sharding import ShardedKB
 from repro.serving.stats import ServiceStats
 from repro.storage import StorageError, pack_bundle
 from repro.text import HashingNgramEmbedder
@@ -455,38 +452,6 @@ class TestPackedIndexes:
             pipeline.kb, RetrievalConfig(), embedder=pipeline.embedder
         )
         assert repack_index(str(tmp_path / "nowhere"), built) is False
-
-
-# ----------------------------------------------------------------------
-# Sharded shortlisting
-# ----------------------------------------------------------------------
-class TestShardedCandidates:
-    @pytest.mark.parametrize("backend", RETRIEVAL_BACKENDS)
-    def test_union_is_superset_of_global_shortlist(
-        self, pipeline, typo_surfaces, backend
-    ):
-        config = RetrievalConfig(backend=backend, shortlist=16)
-        index = build_retrieval_index(
-            pipeline.kb, config, embedder=pipeline.embedder
-        )
-        sharded = ShardedKB(pipeline, 3, retrieval_index=index)
-        try:
-            for surface in typo_surfaces[:10]:
-                query_vec = pipeline.embedder.embed(surface)
-                union = sharded.candidates_for(surface, query_vec=query_vec)
-                assert np.array_equal(union, np.unique(union))
-                global_ids = index.query(surface, query_vec=query_vec)
-                assert set(global_ids.tolist()) <= set(union.tolist())
-        finally:
-            sharded.close()
-
-    def test_without_index_raises(self, pipeline):
-        sharded = ShardedKB(pipeline, 2)
-        try:
-            with pytest.raises(RuntimeError, match="retrieval index"):
-                sharded.candidates_for("anything")
-        finally:
-            sharded.close()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from repro.core import EDPipeline, ModelConfig, TrainConfig, make_matcher
 from repro.autograd import Tensor
 from repro.datasets import load_dataset
-from repro.serving import LinkingService, LRUCache, ServiceConfig
+from repro.serving import LinkingService, LRUCache, ServiceConfig, ServiceStats
 from repro.storage import StorageConfig
 from repro.text.corpus import Snippet
 
@@ -61,7 +61,7 @@ class TestEquivalence:
         service = LinkingService(pipeline, ServiceConfig(max_batch_size=4, cache_size=0))
         assert_equivalent(service, pipeline, dataset.test[:7])
         assert service.stats.batches == 2
-        assert service.stats.batch_sizes == [4, 3]
+        assert (service.stats.batched_mentions, service.stats.max_batch_size) == (7, 4)
 
     def test_equivalence_with_cache_enabled(self, pipeline, dataset):
         service = LinkingService(pipeline, ServiceConfig(max_batch_size=8, cache_size=512))
@@ -129,7 +129,8 @@ class TestResultCache:
         first, second, third = service.link_batch([snippet] * 3)
         assert service.stats.cache_hits == 2
         assert service.stats.cache_misses == 1
-        assert service.stats.batch_sizes == [1]  # duplicates never scored
+        # duplicates never scored: one batch of one
+        assert (service.stats.batches, service.stats.batched_mentions) == (1, 1)
         assert first.ranked_entities == second.ranked_entities == third.ranked_entities
         assert first.scores == second.scores == third.scores
         assert_equivalent(service, pipeline, [snippet])
@@ -186,7 +187,8 @@ class TestResultCache:
         results = service.link_batch([a, a, b])
         assert service.stats.cache_hits == 0
         assert service.stats.cache_misses == 3
-        assert service.stats.batch_sizes == [2, 1]
+        stats = service.stats
+        assert (stats.batches, stats.batched_mentions, stats.max_batch_size) == (2, 3, 2)
         assert results[0].ranked_entities == results[1].ranked_entities
         assert_equivalent(service, pipeline, [a, b])
 
@@ -252,7 +254,29 @@ class TestStats:
         assert payload["cache_hit_rate"] == 0.0
         assert "mentions_per_second" in stats.format()
         stats.reset()
-        assert stats.mentions == 0 and stats.batch_sizes == []
+        assert stats.mentions == 0 and stats.batches == 0
+        assert stats.batched_mentions == 0 and stats.max_batch_size == 0
+
+    def test_batch_telemetry_stays_exact_and_bounded(self):
+        # A long-lived server records one batch per forward pass; the
+        # stats keep running aggregates, so to_dict stays exact without
+        # holding one entry per batch.
+        stats = ServiceStats()
+        sizes = [i % 32 + 1 for i in range(100_000)]
+        for size in sizes:
+            stats.record_batch(size, 0.001)
+        payload = stats.to_dict()
+        assert payload["batches"] == len(sizes)
+        assert payload["mean_batch_size"] == round(sum(sizes) / len(sizes), 2)
+        assert payload["max_batch_size"] == 32
+        assert payload["mentions_per_second"] == round(
+            sum(sizes) / stats.compute_seconds, 2
+        )
+        assert all(
+            len(value) < len(sizes)
+            for value in vars(stats).values()
+            if hasattr(value, "__len__")
+        )
 
     def test_hit_rate(self, pipeline, dataset):
         service = LinkingService(pipeline, ServiceConfig(cache_size=512))

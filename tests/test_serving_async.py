@@ -3,15 +3,12 @@
 The deadline scheduler's policy (:class:`DeadlineBatcher`) is exercised
 with a fake clock — no wall-clock sleeps live in this module.  The shard
 equivalence property (sequential == 1-shard == N-shard predictions on a
-seeded dataset, for both the thread and process execution backends) and
-the async service's end-to-end contract run against a tiny trained
-pipeline.
+seeded dataset) and the async service's end-to-end contract run against
+a tiny trained pipeline.
 
-The CI shard matrix forces the backend and shard count via
-``REPRO_SHARD_BACKEND`` / ``REPRO_TEST_SHARDS``: tests that build a
-sharded service without naming a backend inherit the forced one through
-the ``ServiceConfig`` default, and ``env_shards`` swaps the forced shard
-count into the tests that would otherwise hardcode one.
+The CI shard matrix forces the shard count via ``REPRO_TEST_SHARDS``:
+``env_shards`` swaps the forced shard count into the tests that would
+otherwise hardcode one.
 """
 
 import os
@@ -22,7 +19,6 @@ import pytest
 
 from repro.core import EDPipeline, ModelConfig, TrainConfig
 from repro.datasets import load_dataset
-from repro.graph.batch import batch_graphs
 from repro.serving import (
     AsyncLinkingService,
     DeadlineBatcher,
@@ -146,7 +142,6 @@ class TestShardedKB:
         assert np.array_equal(ids, np.arange(dataset.kb.num_nodes))
         for shard in sharded.shards:
             assert np.all(shard.node_ids % 3 == shard.index)
-            assert shard.view.num_nodes == len(shard.node_ids)
             assert shard.h_ref.shape[0] == shard.x_ref.shape[0] == len(shard.node_ids)
         sharded.close()
 
@@ -158,36 +153,11 @@ class TestShardedKB:
             assert sharded.shards[owner].node_ids[local] == cand
         sharded.close()
 
-    def test_views_reassemble_via_splice(self, pipeline, dataset):
-        # Shard views are subgraph extractions; batch_graphs splices them
-        # back into one disjoint union covering every KB node and all
-        # shard-internal edges.
-        sharded = ShardedKB(pipeline, 4)
-        union, offsets = batch_graphs([s.view for s in sharded.shards])
-        assert union.num_nodes == dataset.kb.num_nodes
-        assert offsets == list(np.cumsum([0] + [s.view.num_nodes for s in sharded.shards[:-1]]))
-        names = {union.node_name(offsets[i] + j)
-                 for i, s in enumerate(sharded.shards) for j in range(s.view.num_nodes)}
-        assert names == set(dataset.kb.node_names)
-        sharded.close()
-
-    def test_subgraph_keeps_internal_edges_only(self, dataset):
-        kb = dataset.kb
-        ids = np.arange(0, kb.num_nodes, 2)
-        view = kb.subgraph(ids)
-        src, dst, et = kb.edges()
-        internal = np.sum(np.isin(src, ids) & np.isin(dst, ids))
-        assert view.num_edges == internal
-        for local, global_id in enumerate(ids[:10]):
-            assert view.node_name(int(local)) == kb.node_name(int(global_id))
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5])
-    def test_scores_identical_to_unsharded(self, pipeline, dataset, num_shards, backend):
+    def test_scores_identical_to_unsharded(self, pipeline, dataset, num_shards):
         # The shard-equivalence property: per-pair scoring makes any
-        # partition merge back to the exact unsharded score vector —
-        # whether the shards score on threads or in worker processes.
-        sharded = ShardedKB(pipeline, num_shards, backend=backend)
+        # partition merge back to the exact unsharded score vector.
+        sharded = ShardedKB(pipeline, num_shards)
         for snippet in dataset.test[:4]:
             qg = pipeline.build_query_graph_for(snippet)
             candidates = pipeline.candidate_ids(
@@ -232,10 +202,16 @@ class TestShardedKB:
 
 
 class TestShardedService:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5])
     def test_sequential_one_shard_n_shard_identical(
         self, pipeline, dataset, sequential, num_shards
     ):
+        # The sharded service matches EDPipeline.disambiguate_snippet
+        # (rankings exact, scores to float tolerance) and is bit-identical
+        # to the unsharded service (both sides share the batched forward).
+        unsharded = LinkingService(
+            pipeline, ServiceConfig(max_batch_size=8, cache_size=0)
+        )
         service = LinkingService(
             pipeline,
             ServiceConfig(max_batch_size=8, cache_size=0, num_shards=num_shards),
@@ -243,12 +219,16 @@ class TestShardedService:
         try:
             predictions = service.link_batch(dataset.test)
             assert_predictions_match(sequential, predictions)
+            for a, b in zip(unsharded.link_batch(dataset.test), predictions):
+                assert a.ranked_entities == b.ranked_entities
+                assert a.scores == b.scores  # exact, not allclose
             if num_shards > 1:
                 assert service.sharded is not None
                 assert service.sharded.num_shards == num_shards
             else:
                 assert service.sharded is None
         finally:
+            unsharded.close()
             service.close()
 
     def test_sharded_matches_unsharded_bitwise(self, pipeline, dataset):
@@ -269,38 +249,6 @@ class TestShardedService:
             unsharded.close()
             sharded.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_backend_property_identical_to_sequential(
-        self, pipeline, dataset, sequential, num_shards, backend
-    ):
-        # The acceptance property of the process backend: over 1/2/4
-        # shards and both execution backends, the sharded service matches
-        # EDPipeline.disambiguate_snippet (rankings exact, scores to
-        # float tolerance) and is bit-identical to the unsharded service
-        # (both sides of the comparison share the batched forward).
-        unsharded = LinkingService(
-            pipeline, ServiceConfig(max_batch_size=8, cache_size=0)
-        )
-        service = LinkingService(
-            pipeline,
-            ServiceConfig(
-                max_batch_size=8,
-                cache_size=0,
-                num_shards=num_shards,
-                shard_backend=backend,
-            ),
-        )
-        try:
-            predictions = service.link_batch(dataset.test)
-            assert_predictions_match(sequential, predictions)
-            for a, b in zip(unsharded.link_batch(dataset.test), predictions):
-                assert a.ranked_entities == b.ranked_entities
-                assert a.scores == b.scores  # bitwise across backends
-        finally:
-            unsharded.close()
-            service.close()
-
     def test_weight_refresh_redistributes(self, pipeline, dataset):
         service = LinkingService(
             pipeline, ServiceConfig(cache_size=16, num_shards=env_shards(2))
@@ -313,8 +261,9 @@ class TestShardedService:
             try:
                 param.data = param.data + 0.125
                 assert service.refresh() is True
-                # Same ShardedKB object (views reused), fresh embeddings.
+                # Same ShardedKB object (partition reused), fresh embeddings.
                 assert service.sharded is backend
+                assert service.stats.publishes == 1
                 expected = pipeline.ref_embeddings()
                 for shard in backend.shards:
                     assert np.array_equal(shard.h_ref, expected[shard.node_ids])
@@ -445,4 +394,40 @@ class TestAsyncLinkingService:
                 future.result(timeout=30.0)
         finally:
             monkeypatch.undo()
+            service.close()
+
+    def test_poisoned_request_fails_alone(self, pipeline, dataset, sequential, monkeypatch):
+        # One request that makes link_batch raise must not fail the rest
+        # of its micro-batch: they still get the sequential predictions.
+        snippets = dataset.test[:8]
+        poisoned = int(np.random.default_rng(0).integers(len(snippets)))
+        # A 60 s deadline with max_batch_size == len(snippets): the worker
+        # flushes exactly one full batch holding every request.
+        service = AsyncLinkingService(
+            pipeline,
+            ServiceConfig(max_batch_size=len(snippets), cache_size=0),
+            deadline_ms=60_000.0,
+        )
+        real_link_batch = service.service.link_batch
+        batch_sizes = []
+
+        def link_batch(batch, **kwargs):
+            batch_sizes.append(len(batch))
+            if any(snippet is snippets[poisoned] for snippet in batch):
+                raise ValueError("poisoned snippet")
+            return real_link_batch(batch, **kwargs)
+
+        monkeypatch.setattr(service.service, "link_batch", link_batch)
+        try:
+            futures = [service.submit(s) for s in snippets]
+            for i, future in enumerate(futures):
+                if i == poisoned:
+                    with pytest.raises(ValueError, match="poisoned"):
+                        future.result(timeout=30.0)
+                else:
+                    assert_predictions_match(
+                        [sequential[i]], [future.result(timeout=30.0)]
+                    )
+            assert batch_sizes[0] == len(snippets)
+        finally:
             service.close()

@@ -2,17 +2,13 @@
 
 Covers the strict ``StorageConfig`` section (standalone and inside
 ``ServiceConfig``), the mmap bundle's bit-exact round trip and
-staleness handling, the shared-memory arena's publish/update/unlink
-lifecycle (including a SIGKILL'd worker respawn), the cross-backend
-equivalence property — memory|mmap x thread|process x 2|4 shards all
-rank exactly like ``disambiguate_snippet`` with bitwise-identical
-scores — and the acceptance bound that arena-mode worker startup ships
-less than the matrices' nbytes over the command pipes.
+staleness handling, and the cross-backend equivalence property —
+memory|mmap x 2|4 thread shards all rank exactly like
+``disambiguate_snippet`` with bitwise-identical scores.
 """
 
 import json
 import os
-import signal
 
 import numpy as np
 import pytest
@@ -23,15 +19,12 @@ from repro.serving import LinkingService, ServiceConfig
 from repro.storage import (
     KB_STORE_ENV,
     MmapStore,
-    SharedMemoryArena,
     StorageConfig,
     StorageError,
-    attach_array,
     content_fingerprint,
     default_kb_store,
     pack_bundle,
     resolve_kb_store,
-    shared_memory_available,
 )
 from repro.storage.bundle import (
     FEATURES_NAME,
@@ -41,10 +34,6 @@ from repro.storage.bundle import (
 )
 
 SCALE = 0.2
-
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +60,11 @@ def bundle(pipeline, tmp_path_factory):
     return directory, manifest
 
 
-def make_service(pipeline, kb_store, backend, shards, bundle_path=None):
+def make_service(pipeline, kb_store, shards, bundle_path=None):
     return LinkingService(
         pipeline,
         ServiceConfig(
             num_shards=shards,
-            shard_backend=backend,
             storage=StorageConfig(kb_store=kb_store, bundle_path=bundle_path),
         ),
     )
@@ -91,7 +79,6 @@ class TestStorageConfig:
         config = StorageConfig()
         assert config.kb_store == "memory"
         assert config.bundle_path is None
-        assert config.share_payloads is True
 
     def test_env_var_sets_the_default(self, monkeypatch):
         monkeypatch.setenv(KB_STORE_ENV, "mmap")
@@ -109,15 +96,11 @@ class TestStorageConfig:
     def test_bad_field_types_rejected(self):
         with pytest.raises(ValueError, match="bundle_path"):
             StorageConfig(bundle_path=7)
-        with pytest.raises(ValueError, match="share_payloads"):
-            StorageConfig(share_payloads="yes")
 
     def test_service_config_coerces_dict_section(self):
         # The shape dataclasses.asdict / the LinkerConfig JSON round trip
         # produce must coerce strictly back into a StorageConfig.
-        config = ServiceConfig(
-            storage={"kb_store": "mmap", "bundle_path": None, "share_payloads": True}
-        )
+        config = ServiceConfig(storage={"kb_store": "mmap", "bundle_path": None})
         assert config.storage == StorageConfig(kb_store="mmap")
 
     def test_service_config_rejects_unknown_storage_key(self):
@@ -251,79 +234,6 @@ class TestBundle:
 
 
 # ----------------------------------------------------------------------
-# The shared-memory arena
-# ----------------------------------------------------------------------
-@needs_shm
-class TestArena:
-    def test_publish_attach_round_trip(self):
-        arena = SharedMemoryArena()
-        try:
-            array = np.arange(12, dtype=np.float32).reshape(3, 4)
-            spec = arena.publish("h", array)
-            assert spec.nbytes == array.nbytes
-            assert np.array_equal(arena.view("h"), array)
-            attached, segment = attach_array(spec)
-            try:
-                assert np.array_equal(attached, array)
-                assert not attached.flags.writeable
-            finally:
-                del attached
-                segment.close()
-        finally:
-            arena.close()
-
-    def test_update_is_in_place_and_versioned(self):
-        arena = SharedMemoryArena()
-        try:
-            array = np.zeros((2, 2), dtype=np.float32)
-            spec = arena.publish("h", array)
-            attached, segment = attach_array(spec)
-            try:
-                fresh = np.full((2, 2), 7.0, dtype=np.float32)
-                assert arena.version == 0
-                arena.update("h", fresh)
-                assert arena.version == 1
-                # The live mapping sees the new bytes: nothing re-shipped.
-                assert np.array_equal(attached, fresh)
-            finally:
-                del attached
-                segment.close()
-        finally:
-            arena.close()
-
-    def test_update_must_keep_dtype_and_shape(self):
-        arena = SharedMemoryArena()
-        try:
-            arena.publish("h", np.zeros((2, 2), dtype=np.float32))
-            with pytest.raises(StorageError, match="dtype/shape"):
-                arena.update("h", np.zeros((3, 2), dtype=np.float32))
-            with pytest.raises(StorageError, match="never published"):
-                arena.update("x", np.zeros(1, dtype=np.float32))
-        finally:
-            arena.close()
-
-    def test_duplicate_key_rejected(self):
-        arena = SharedMemoryArena()
-        try:
-            arena.publish("h", np.zeros(1, dtype=np.float32))
-            with pytest.raises(StorageError, match="already published"):
-                arena.publish("h", np.zeros(1, dtype=np.float32))
-        finally:
-            arena.close()
-
-    def test_close_unlinks_every_segment(self):
-        arena = SharedMemoryArena()
-        spec = arena.publish("h", np.zeros((4,), dtype=np.float32))
-        assert arena.num_segments == 1
-        arena.close()
-        arena.close()  # idempotent
-        with pytest.raises(StorageError, match="is gone"):
-            attach_array(spec)
-        with pytest.raises(StorageError, match="closed"):
-            arena.publish("x", np.zeros(1, dtype=np.float32))
-
-
-# ----------------------------------------------------------------------
 # Cross-backend equivalence
 # ----------------------------------------------------------------------
 class TestCrossBackendEquivalence:
@@ -332,7 +242,7 @@ class TestCrossBackendEquivalence:
         """Predictions from the unsharded memory-backed service, checked
         once against the sequential oracle; every combo must match them
         bitwise."""
-        service = make_service(pipeline, "memory", "thread", shards=1)
+        service = make_service(pipeline, "memory", shards=1)
         try:
             predictions = service.link_batch(dataset.test[:6])
         finally:
@@ -343,15 +253,12 @@ class TestCrossBackendEquivalence:
         return predictions
 
     @pytest.mark.parametrize("kb_store", ["memory", "mmap"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("shards", [2, 4])
     def test_scores_bit_identical_across_backends(
-        self, pipeline, dataset, baseline, kb_store, backend, shards
+        self, pipeline, dataset, baseline, kb_store, shards
     ):
-        service = make_service(pipeline, kb_store, backend, shards)
+        service = make_service(pipeline, kb_store, shards)
         try:
-            if backend == "process" and service.sharded.worker_pool is None:
-                pytest.skip("process shard backend unavailable on this platform")
             assert service.kb_store.backend == kb_store
             predictions = service.link_batch(dataset.test[:6])
             for expected, actual in zip(baseline, predictions):
@@ -375,9 +282,7 @@ class TestCrossBackendEquivalence:
 
         try:
             EDPipeline.ref_embeddings = counting
-            service = make_service(
-                pipeline, "mmap", "thread", shards=1, bundle_path=directory
-            )
+            service = make_service(pipeline, "mmap", shards=1, bundle_path=directory)
         finally:
             EDPipeline.ref_embeddings = original
         try:
@@ -390,160 +295,17 @@ class TestCrossBackendEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Arena-backed shard payloads, end to end
-# ----------------------------------------------------------------------
-@needs_shm
-class TestArenaShardPayloads:
-    @pytest.fixture()
-    def service(self, pipeline):
-        service = make_service(pipeline, "memory", "process", shards=2)
-        if service.sharded.worker_pool is None:
-            service.close()
-            pytest.skip("process shard backend unavailable on this platform")
-        yield service
-        service.close()
-
-    def test_startup_ships_less_than_the_matrices(self, service):
-        # The acceptance bound: worker startup must ship descriptors, not
-        # pickled matrices — total pipe traffic stays under the matrices'
-        # own nbytes (the classic path ships strictly more than that).
-        pool = service.sharded.worker_pool
-        assert pool.arena is not None
-        assert pool.payload_ship_bytes < pool.payload_matrix_nbytes
-        # 3 arrays (node_ids, h_ref, x_ref) per shard.
-        assert pool.arena.num_segments == 3 * 2
-        assert service.sharded.arena_segments == 6
-
-    def test_distribute_is_an_in_place_publish(self, service, pipeline, dataset):
-        # A warm-start refresh must rewrite the existing segments (same
-        # names, bumped version) and ship nothing matrix-sized.
-        pool = service.sharded.worker_pool
-        names_before = sorted(pool.arena.segment_names)
-        version_before = pool.arena.version
-        shipped_before = pool.payload_ship_bytes
-        param = pipeline.model.parameters()[-1]
-        original = param.data.copy()
-        try:
-            param.data = param.data + 0.25
-            pipeline.invalidate_ref_cache()
-            service.refresh()
-            assert sorted(pool.arena.segment_names) == names_before
-            assert pool.arena.version > version_before
-            refresh_traffic = pool.payload_ship_bytes - shipped_before
-            assert 0 < refresh_traffic < pool.payload_matrix_nbytes
-            snippet = dataset.test[0]
-            oracle = pipeline.disambiguate_snippet(snippet)
-            assert (
-                service.link_batch([snippet])[0].ranked_entities
-                == oracle.ranked_entities
-            )
-            assert service.stats.publishes >= 1
-        finally:
-            param.data = original
-            pipeline.invalidate_ref_cache()
-            service.refresh()
-
-    def test_segments_unlinked_after_close(self, pipeline, dataset):
-        from multiprocessing import shared_memory
-
-        service = make_service(pipeline, "memory", "process", shards=2)
-        pool = service.sharded.worker_pool
-        if pool is None:
-            service.close()
-            pytest.skip("process shard backend unavailable on this platform")
-        names = list(pool.arena.segment_names)
-        assert names
-        service.link_batch(dataset.test[:2])
-        service.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_segments_survive_a_killed_worker_and_still_unlink(
-        self, pipeline, dataset
-    ):
-        # SIGKILL one worker mid-life: the respawn must reuse the same
-        # published segments (workers never own them), scoring must stay
-        # exact, and close() must still unlink everything.
-        from multiprocessing import shared_memory
-
-        service = LinkingService(
-            pipeline,
-            ServiceConfig(
-                num_shards=2,
-                shard_backend="process",
-                cache_size=0,  # force the post-kill batch through the pool
-                storage=StorageConfig(kb_store="memory"),
-            ),
-        )
-        pool = service.sharded.worker_pool
-        if pool is None:
-            service.close()
-            pytest.skip("process shard backend unavailable on this platform")
-        names = sorted(pool.arena.segment_names)
-        before = service.link_batch(dataset.test[:2])
-        victim = pool.processes[0]
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=5.0)
-        assert not victim.is_alive()
-        after = service.link_batch(dataset.test[:2])
-        assert pool.respawns >= 1
-        for expected, actual in zip(before, after):
-            assert actual.ranked_entities == expected.ranked_entities
-            assert actual.scores == expected.scores
-        assert sorted(pool.arena.segment_names) == names  # same segments
-        service.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_share_payloads_false_uses_the_pickled_path(self, pipeline):
-        service = LinkingService(
-            pipeline,
-            ServiceConfig(
-                num_shards=2,
-                shard_backend="process",
-                storage=StorageConfig(share_payloads=False),
-            ),
-        )
-        try:
-            pool = service.sharded.worker_pool
-            if pool is None:
-                pytest.skip("process shard backend unavailable on this platform")
-            assert pool.arena is None
-            # The classic path pickles the matrices into the pipes.
-            assert pool.payload_ship_bytes > pool.payload_matrix_nbytes
-        finally:
-            service.close()
-
-
-# ----------------------------------------------------------------------
 # Storage telemetry
 # ----------------------------------------------------------------------
 class TestStorageStats:
     def test_stats_carry_the_storage_block(self, pipeline):
-        service = make_service(pipeline, "mmap", "thread", shards=1)
+        service = make_service(pipeline, "mmap", shards=1)
         try:
             payload = service.stats.to_dict()
             assert payload["storage_backend"] == "mmap"
-            for key in ("payload_ship_bytes", "arena_segments", "publishes",
-                        "publish_ms"):
+            for key in ("publishes", "publish_ms"):
                 assert key in payload
             text = service.stats.to_prometheus()
             assert 'storage_info{backend="mmap"} 1' in text
-            assert "storage_payload_ship_bytes" in text
-        finally:
-            service.close()
-
-    @needs_shm
-    def test_process_backend_reports_ship_bytes(self, pipeline):
-        service = make_service(pipeline, "memory", "process", shards=2)
-        try:
-            if service.sharded.worker_pool is None:
-                pytest.skip("process shard backend unavailable on this platform")
-            payload = service.stats.to_dict()
-            assert payload["storage_backend"] == "memory"
-            assert payload["payload_ship_bytes"] > 0
-            assert payload["arena_segments"] == 6
         finally:
             service.close()
