@@ -26,14 +26,15 @@ SERVING_SPEEDUP_FLOOR = 3.0  # batched vs sequential, full configuration
 SERVING_SMOKE_SPEEDUP_FLOOR = 1.5  # loose floor for the tiny CI smoke mode
 SERVING_DEADLINE_JITTER_MS = 100.0  # scheduler-wakeup slack on noisy CI VMs
 # Sublinear candidate retrieval vs the linear fuzzy scan.  The full run
-# synthesises a 100k-entity KB where the O(N·d) scan is the bottleneck
+# synthesises a 200k-entity KB where the O(N·d) scan is the bottleneck
 # the retrieval subsystem exists to remove, so the floor is aggressive;
 # smoke mode uses a far smaller KB where fixed overheads dominate.
 CANDIDATE_SPEEDUP_FLOOR = 5.0
 CANDIDATE_SMOKE_SPEEDUP_FLOOR = 1.2
-# Shortlist coverage: fraction of the fuzzy oracle's top-k the indexed
-# generator reproduces on a typo'd-mention corpus.  Identical floors in
-# both modes — recall is a correctness property, not a perf one.
+# Shortlist coverage: share of the fuzzy oracle's fallback list the
+# indexed generator's fallback list reproduces on a typo'd-mention
+# corpus, averaged per query.  Identical floors in both modes — recall
+# is a correctness property, not a perf one.
 CANDIDATE_RECALL_FLOOR = 0.95
 
 

@@ -3,7 +3,7 @@
 Trains one small ED-GNN, measures the synchronous batched service's
 capacity, then drives the deadline scheduler at ~2x that capacity —
 arrivals faster than the service can drain, the regime where an
-unbounded queue turns every request into a timeout.  Three legs:
+unbounded queue turns every request into a timeout.  Two legs:
 
 * **unprotected** (``shed_policy="none"``): the queue grows without
   bound and the p95 queue wait blows through the deadline budget — the
@@ -14,11 +14,7 @@ unbounded queue turns every request into a timeout.  Three legs:
   ``low`` first) and the bench guards that the *admitted* requests' p95
   queue wait stays inside ``deadline_ms`` plus the shared CI jitter
   slack, and that every admitted ranking is identical to the sequential
-  ``EDPipeline.disambiguate_snippet`` baseline;
-* **adaptive** (``adaptive=True``): same drive with the AIMD tuner
-  closing the loop; reports how far the deadline/batch policy backed
-  off and how many adjustments it took (no hard guard — policy motion
-  is hardware-dependent).
+  ``EDPipeline.disambiguate_snippet`` baseline.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving_overload.py
       [--smoke] [--batch-size 32] [--deadline-ms 50] [--shards 1]
@@ -148,24 +144,6 @@ def run(args: argparse.Namespace) -> int:
     print(f"equivalence    {len(admitted) - mismatches}/{len(admitted)} "
           f"admitted rankings identical to sequential")
 
-    # Leg 3: adaptive — the AIMD tuner backs the policy off under the
-    # same drive.  Reported, not guarded: how far it moves is hardware-
-    # dependent.
-    adaptive = AdmissionConfig(
-        shed_policy="wait", max_queue=args.max_queue,
-        max_wait_ms=args.deadline_ms, adaptive=True,
-        min_deadline_ms=5.0, max_deadline_ms=max(250.0, args.deadline_ms),
-    )
-    adaptive_stream = stream[: max(64, len(stream) // 2)]
-    with make_service(adaptive) as service:
-        drive(service, adaptive_stream, inter_arrival)
-        tuner_deadline = service.stats.tuner_deadline_ms
-        tuner_batch = service.stats.tuner_batch_size
-        tuner_adjustments = service.stats.tuner_adjustments
-    print(f"adaptive       deadline {args.deadline_ms:.0f} -> {tuner_deadline:.1f} ms  "
-          f"batch {args.batch_size} -> {tuner_batch}  "
-          f"({tuner_adjustments} adjustments)")
-
     update_bench_report(
         args.report,
         "overload",
@@ -186,9 +164,6 @@ def run(args: argparse.Namespace) -> int:
             "shed": len(shed),
             "shed_by_priority": shed_by_priority,
             "ranking_mismatches": mismatches,
-            "tuner_deadline_ms": round(tuner_deadline, 2),
-            "tuner_batch_size": tuner_batch,
-            "tuner_adjustments": tuner_adjustments,
         },
     )
 

@@ -163,16 +163,14 @@ def main() -> None:
     #    generator memory-maps it — an index miss (a typo'd mention)
     #    costs a shortlist lookup plus an exact rerank of that shortlist
     #    instead of a dense scan over every entity name.  The fuzzy
-    #    generator stays the correctness oracle: whenever the shortlist
-    #    covers its survivors, candidates are identical.
+    #    generator stays the correctness oracle: when the shortlist holds
+    #    the rows the oracle edit-filters, candidates are identical.
     with tempfile.TemporaryDirectory() as bundle:
         retrieval = replace(linker.config.retrieval, bundle_path=bundle)
         pack_bundle(
             linker.pipeline,
             bundle,
-            retrieval_index=build_retrieval_index(
-                linker.pipeline.kb, retrieval, embedder=linker.pipeline.embedder
-            ),
+            retrieval_index=build_retrieval_index(linker.pipeline.kb, retrieval),
         )
         linker.use_candidate_generator("indexed", retrieval=retrieval)
         indexed_service = linker.serve(cache_size=0)
@@ -196,7 +194,7 @@ def main() -> None:
                     f"\ntypo'd mention {prediction.mention!r} "
                     f"(was {gold_mention.mention!r}) -> "
                     f"{linker.entity_name(prediction.top())!r} "
-                    f"(via the packed {retrieval.backend} index)"
+                    "(via the packed n-gram index)"
                 )
             snapshot = indexed_service.stats.to_dict()
             print(

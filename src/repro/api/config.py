@@ -7,7 +7,7 @@ One frozen dataclass describes a full linker: the nested
 components (candidate generator, NER, embedder — see
 :mod:`repro.api.registry`) and their kwargs.  The ``retrieval`` section
 (:class:`~repro.retrieval.RetrievalConfig`) shapes the sublinear
-shortlist backends the ``"indexed"`` candidate generator uses; the
+n-gram shortlist index the ``"indexed"`` candidate generator uses; the
 generator name itself defaults from ``REPRO_CANDIDATES``.  The service
 section covers the full serving surface, KB sharding included
 (``ServiceConfig(num_shards=4)`` declares a service scoring on four
@@ -17,8 +17,8 @@ thread shards) as well as the HTTP front door
 exactly, the payload is schema-versioned, and parsing is strict: unknown
 keys, unknown component names, unknown backend names, and unsupported
 versions are rejected rather than ignored — a config that parses is a
-config that constructs.  A schema-version-1 payload is rejected with a
-message naming the keys version 2 removed.
+config that constructs.  A payload of an earlier schema version is
+rejected with a message naming every key removed since that version.
 """
 
 from __future__ import annotations
@@ -43,15 +43,32 @@ from .registry import CANDIDATE_GENERATORS, EMBEDDERS, ENCODERS, NERS
 __all__ = ["LinkerConfig", "CONFIG_SCHEMA_VERSION"]
 
 #: bump when the JSON layout changes incompatibly
-CONFIG_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 3
 
-#: keys of schema version 1 that version 2 removed together with the
-#: process shard backend and its shared-memory payloads
-_V1_REMOVED_KEYS = (
-    "service.shard_backend",
-    "service.shard_workers",
-    "service.storage.share_payloads",
-)
+#: keys of each earlier schema version that the next version removed:
+#: version 2 dropped the process shard backend and its shared-memory
+#: payloads, version 3 the LSH retrieval backend and the adaptive
+#: admission tuner
+_REMOVED_KEYS = {
+    1: (
+        "service.shard_backend",
+        "service.shard_workers",
+        "service.storage.share_payloads",
+    ),
+    2: (
+        "retrieval.backend",
+        "retrieval.num_bands",
+        "retrieval.band_bits",
+        "retrieval.probe_radius",
+        "service.admission.adaptive",
+        "service.admission.target_p95_ms",
+        "service.admission.tuner_window",
+        "service.admission.tuner_interval_ms",
+        "service.admission.min_deadline_ms",
+        "service.admission.max_deadline_ms",
+        "service.admission.min_batch_size",
+    ),
+}
 
 _TOP_LEVEL_KEYS = frozenset(
     {
@@ -170,12 +187,18 @@ class LinkerConfig:
         if not isinstance(payload, dict):
             raise ValueError("LinkerConfig payload must be a JSON object")
         version = payload.get("schema_version")
-        if version == 1:
+        if isinstance(version, int) and version in _REMOVED_KEYS:
+            removed = [
+                key
+                for since in sorted(_REMOVED_KEYS)
+                if since >= version
+                for key in _REMOVED_KEYS[since]
+            ]
             raise ValueError(
-                "LinkerConfig schema_version 1 is no longer accepted: version "
-                f"{CONFIG_SCHEMA_VERSION} removed {', '.join(_V1_REMOVED_KEYS)}; "
-                "delete those keys and set schema_version to "
-                f"{CONFIG_SCHEMA_VERSION}"
+                f"LinkerConfig schema_version {version} is no longer accepted: "
+                f"the keys removed since version {version} are "
+                f"{', '.join(removed)}; delete them and set schema_version "
+                f"to {CONFIG_SCHEMA_VERSION}"
             )
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(

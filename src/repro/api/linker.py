@@ -268,7 +268,8 @@ class Linker:
         config's service section (``shards`` and any
         :class:`~repro.serving.ServiceConfig` field overriding it), or —
         with ``async_=True`` — an :class:`~repro.serving.AsyncLinkingService`
-        wrapping one under the ``deadline_ms`` budget (default 25 ms).
+        wrapping one, which flushes a micro-batch once it is full or its
+        oldest request has waited ``deadline_ms`` (default 25 ms).
         ``linker.serve(shards=4)`` fans candidate scoring out across four
         KB shards on threads.
 
@@ -284,11 +285,10 @@ class Linker:
         (:class:`~repro.serving.AdmissionConfig`, its dict form, or just
         a shed-policy name) — ``linker.serve(async_=True,
         admission="depth")`` bounds the queue and sheds the overflow as
-        429s, ``admission=AdmissionConfig(shed_policy="wait",
-        adaptive=True)`` adds estimated-wait shedding and the AIMD
-        deadline/batch tuner.  The config's ``service.admission``
-        section (default shed policy from ``$REPRO_ADMISSION``) applies
-        when omitted.
+        429s, ``admission=AdmissionConfig(shed_policy="wait")`` also
+        sheds arrivals whose estimated queue wait exceeds the budget.
+        The config's ``service.admission`` section (default shed policy
+        from ``$REPRO_ADMISSION``) applies when omitted.
 
         ``http_port`` turns the frontend into a *started*
         :class:`~repro.serving.LinkingHTTPServer` over the async service

@@ -333,11 +333,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
             storage = StorageConfig(kb_store=kb_store, bundle_path=args.kb_bundle)
         admission = None
-        if (
-            args.shed_policy is not None
-            or args.max_queue is not None
-            or args.adaptive
-        ):
+        if args.shed_policy is not None or args.max_queue is not None:
             from dataclasses import replace
 
             from repro.serving import AdmissionConfig
@@ -347,16 +343,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             overrides = {}
             if args.shed_policy is not None:
                 overrides["shed_policy"] = args.shed_policy
-            elif args.max_queue is not None or args.adaptive:
-                base = AdmissionConfig()
-                if base.shed_policy == "none":
-                    # --max-queue / --adaptive without an explicit policy
-                    # (or env default) means "bound the queue by depth".
-                    overrides["shed_policy"] = "depth"
+            elif AdmissionConfig().shed_policy == "none":
+                # --max-queue without an explicit policy (or env default)
+                # means "bound the queue by depth".
+                overrides["shed_policy"] = "depth"
             if args.max_queue is not None:
                 overrides["max_queue"] = args.max_queue
-            if args.adaptive:
-                overrides["adaptive"] = True
             admission = replace(AdmissionConfig(), **overrides)
         service = linker.serve(
             max_batch_size=args.batch_size,
@@ -492,15 +484,10 @@ def _cmd_kb_pack(args: argparse.Namespace) -> int:
     linker = _load_checkpoint(args.checkpoint)
     retrieval_index = None
     if args.with_index:
-        from dataclasses import replace
-
         from repro.retrieval import build_retrieval_index
 
-        retrieval = linker.config.retrieval
-        if args.index_backend is not None:
-            retrieval = replace(retrieval, backend=args.index_backend)
         retrieval_index = build_retrieval_index(
-            linker.pipeline.kb, retrieval, embedder=linker.pipeline.embedder
+            linker.pipeline.kb, linker.config.retrieval
         )
     manifest = pack_bundle(
         linker.pipeline,
@@ -843,12 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission queue bound before load shedding kicks in "
         "(implies --shed-policy depth unless one is set)",
     )
-    p.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="AIMD-tune the deadline and micro-batch size from observed "
-        "queue-wait p95s (implies --shed-policy depth unless one is set)",
-    )
     p.add_argument("--host", default="127.0.0.1", help="bind address for --http")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true", help="print serving stats afterwards")
@@ -872,15 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--with-index",
         action="store_true",
         help="also pack a sublinear candidate-retrieval index for "
-        "`repro serve --candidates indexed` (postings/signatures are "
+        "`repro serve --candidates indexed` (its postings are "
         "memory-mapped at serve time)",
-    )
-    k.add_argument(
-        "--index-backend",
-        default=None,
-        choices=["ngram", "lsh"],
-        help="retrieval backend for --with-index (default: the "
-        "checkpoint config's retrieval.backend)",
     )
     k.add_argument("--json", action="store_true")
     k.set_defaults(func=_cmd_kb_pack)

@@ -90,7 +90,6 @@ class FuzzyCandidateGenerator:
         surface: str,
         top_k: int = 10,
         within: Optional[np.ndarray] = None,
-        query_vec: Optional[np.ndarray] = None,
     ) -> List[Candidate]:
         """Ranked candidates for a surface form.
 
@@ -98,26 +97,26 @@ class FuzzyCandidateGenerator:
         when the index has nothing, the n-gram + edit-distance fallback
         fills up to ``top_k`` candidates.  ``within`` restricts the
         fallback to a shortlist of node ids (the sublinear retrieval
-        backends produce one) — scores and filters are identical to the
-        unrestricted scan, so when the shortlist covers the scan's
-        survivors the output matches exactly.  ``query_vec`` skips
-        re-embedding when the caller already embedded the surface.
+        index produces one), scored and filtered exactly as the
+        unrestricted scan.  The scan edit-filters only its top
+        ``max(4 * top_k, 16)`` cosine rows, so the output matches the
+        unrestricted scan when the shortlist holds those rows; a
+        shortlist that holds only the scan's survivors can return more.
         """
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         exact = self.index.lookup(surface)
         if exact:
             return [Candidate(node, 1.0, "index") for node in exact[:top_k]]
-        return self._fuzzy(surface, top_k, within=within, query_vec=query_vec)
+        return self._fuzzy(surface, top_k, within=within)
 
     def _fuzzy(
         self,
         surface: str,
         top_k: int,
         within: Optional[np.ndarray] = None,
-        query_vec: Optional[np.ndarray] = None,
     ) -> List[Candidate]:
-        query = self.embedder.embed(surface) if query_vec is None else query_vec
+        query = self.embedder.embed(surface)
         if within is None:
             nodes = None
             sims = self._name_matrix @ query
@@ -172,13 +171,9 @@ class FuzzyCandidateGenerator:
         surface: str,
         top_k: int = 10,
         within: Optional[np.ndarray] = None,
-        query_vec: Optional[np.ndarray] = None,
     ) -> List[int]:
         """Just the node ids (the pipeline's consumption format)."""
-        return [
-            c.node
-            for c in self.candidates(surface, top_k, within=within, query_vec=query_vec)
-        ]
+        return [c.node for c in self.candidates(surface, top_k, within=within)]
 
 
 class ExactCandidateGenerator:

@@ -145,9 +145,6 @@ class EDPipeline:
                 ).data
         return self._h_ref
 
-    # Backwards-compatible alias (pre-serving API).
-    _ref_embeddings = ref_embeddings
-
     def invalidate_ref_cache(self) -> None:
         """Drop cached KB embeddings (call after mutating weights or KB)."""
         self._h_ref = None
@@ -227,26 +224,10 @@ class EDPipeline:
             augment=self.augment, schema=self.schema,
         )
 
-    def score_candidates(
-        self,
-        qg: QueryGraph,
-        candidate_ids: np.ndarray,
-        ref_embeddings: Optional[np.ndarray] = None,
-        ref_features: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def score_candidates(self, qg: QueryGraph, candidate_ids: np.ndarray) -> np.ndarray:
         """Scoring stage: matching logits of one query graph's "?" node
-        against ``candidate_ids`` (same math the trainer uses).
-
-        By default ``candidate_ids`` are global KB node ids scored against
-        the full-KB embedding matrix.  A KB shard passes its own embedding
-        and feature rows via ``ref_embeddings``/``ref_features`` with
-        ``candidate_ids`` local to those rows — the hook
-        :class:`repro.serving.sharding.ShardedKB` scores candidate subsets
-        through.  Scores are per-pair, so any partition of the candidates
-        merges back to the unsharded result exactly.
-        """
-        if (ref_embeddings is None) != (ref_features is None):
-            raise ValueError("ref_embeddings and ref_features must be passed together")
+        against ``candidate_ids``, global KB node ids scored against the
+        full-KB embedding matrix (same math the trainer uses)."""
         candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
         self.model.eval()
         with no_grad():
@@ -254,15 +235,13 @@ class EDPipeline:
             x_qry = Tensor(qg.graph.features)
             h_qry = self.model.embed(compiled, x_qry)
             mention_ids = np.full(len(candidate_ids), qg.mention_node, dtype=np.int64)
-            h_ref = self.ref_embeddings() if ref_embeddings is None else ref_embeddings
-            x_ref = self.kb.features if ref_features is None else ref_features
             return self.model.score_pairs(
                 h_qry,
                 mention_ids,
-                Tensor(h_ref),
+                Tensor(self.ref_embeddings()),
                 candidate_ids,
                 x_query=x_qry,
-                x_ref=Tensor(x_ref),
+                x_ref=Tensor(self.kb.features),
             ).data
 
     @staticmethod

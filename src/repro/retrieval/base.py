@@ -3,24 +3,18 @@
 The fuzzy fallback in :mod:`repro.core.candidates` scores a dense
 ``name_matrix @ query`` against *every* KB entity per index miss — an
 O(N·d) scan that dominates candidate-generation latency once the KB
-grows past ~10^5 entities.  This package replaces the scan with two
-sublinear shortlist backends behind one seam:
+grows past ~10^5 entities.  This package replaces the scan with a
+sublinear shortlist: :class:`~repro.retrieval.ngram.NgramPostingsIndex`,
+a char-n-gram inverted index with TF-IDF-weighted accumulation over
+postings lists (work proportional to postings touched, not KB size).
 
-* ``"ngram"`` — :class:`~repro.retrieval.ngram.NgramPostingsIndex`, a
-  char-n-gram inverted index with TF-IDF-weighted accumulation over
-  postings lists (work proportional to postings touched, not KB size);
-* ``"lsh"`` — :class:`~repro.retrieval.lsh.LshIndex`, random-hyperplane
-  signatures over the existing ``HashingNgramEmbedder`` name matrix with
-  multi-probe banding.
-
-Both return a *shortlist* of node ids; the ``"indexed"`` candidate
+The index returns a *shortlist* of node ids; the ``"indexed"`` candidate
 generator (:mod:`repro.retrieval.generator`) reruns the exact fuzzy
 oracle restricted to that shortlist, so final candidates keep the
-oracle's scores and filters — recall is purely a question of shortlist
-coverage.  Indexes are packable artifacts (:mod:`repro.retrieval.pack`):
-their state is a dict of flat numpy arrays plus a small JSON params
-blob, which the PR-7 bundle serializes with CRC-checked manifest entries
-and memory-maps read-only on load.
+oracle's scores and filters.  Indexes are packable artifacts
+(:mod:`repro.retrieval.pack`): their state is a dict of flat numpy
+arrays plus a small JSON params blob, which the KB bundle serializes
+with CRC-checked manifest entries and memory-maps read-only on load.
 """
 
 from __future__ import annotations
@@ -29,28 +23,22 @@ import abc
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.hetero import HeteroGraph
-    from ..text.embedder import HashingNgramEmbedder
 
 __all__ = [
-    "RETRIEVAL_BACKENDS",
     "CANDIDATES_ENV",
     "default_candidate_generator",
     "RetrievalConfig",
     "RetrievalIndex",
     "build_retrieval_index",
-    "index_from_arrays",
     "retrieval_fingerprint",
 ]
-
-#: Sublinear shortlist backends selectable via ``RetrievalConfig.backend``.
-RETRIEVAL_BACKENDS = ("ngram", "lsh")
 
 #: Environment default for ``LinkerConfig.candidate_generator`` — the same
 #: opt-in pattern as ``REPRO_KB_STORE``, so CI
@@ -72,36 +60,24 @@ def default_candidate_generator() -> str:
 
 @dataclass(frozen=True)
 class RetrievalConfig:
-    """Strict configuration for the sublinear retrieval backends.
+    """Strict configuration for the sublinear n-gram retrieval index.
 
-    ``shortlist`` caps how many node ids a backend returns per query;
+    ``shortlist`` caps how many node ids the index returns per query;
     ``ngram_size``/``num_buckets``/``max_df_ratio`` shape the postings
-    index; ``num_bands``/``band_bits``/``probe_radius`` shape the LSH
-    signatures and their multi-probe search (``probe_radius`` is the
-    Hamming ball each band's key is expanded to at query time); ``seed``
-    fixes both backends' hashing/hyperplanes.  ``bundle_path`` points at
-    a PR-7 KB bundle directory: when set, the ``"indexed"`` generator
+    index; ``seed`` fixes the n-gram hashing.  ``bundle_path`` points at
+    a KB bundle directory: when set, the ``"indexed"`` generator
     loads the packed index from it (memory-mapped, fingerprint-checked)
     and repacks on staleness instead of rebuilding every start.
     """
 
-    backend: str = "ngram"
     shortlist: int = 256
     ngram_size: int = 3
     num_buckets: int = 32768
     max_df_ratio: float = 0.05
-    num_bands: int = 32
-    band_bits: int = 12
-    probe_radius: int = 1
     seed: int = 0x5EED
     bundle_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in RETRIEVAL_BACKENDS:
-            raise ValueError(
-                f"unknown retrieval backend {self.backend!r}; "
-                f"options: {RETRIEVAL_BACKENDS}"
-            )
         if self.shortlist < 1:
             raise ValueError("shortlist must be >= 1")
         if self.ngram_size < 1:
@@ -110,12 +86,6 @@ class RetrievalConfig:
             raise ValueError("num_buckets must be >= 1")
         if not 0.0 < self.max_df_ratio <= 1.0:
             raise ValueError("max_df_ratio must be in (0, 1]")
-        if self.num_bands < 1:
-            raise ValueError("num_bands must be >= 1")
-        if not 1 <= self.band_bits <= 24:
-            raise ValueError("band_bits must be in [1, 24]")
-        if not 0 <= self.probe_radius <= 2:
-            raise ValueError("probe_radius must be in [0, 2]")
         if self.bundle_path is not None and not isinstance(self.bundle_path, str):
             raise ValueError("bundle_path must be a string path or None")
 
@@ -124,18 +94,17 @@ class RetrievalConfig:
 
 
 class RetrievalIndex(abc.ABC):
-    """One sublinear shortlist backend over a KB's entity surfaces.
+    """A sublinear shortlist index over a KB's entity surfaces.
 
     State is exposed as flat numpy arrays (:meth:`arrays`) plus a small
     JSON-serializable params blob (:meth:`params`) so indexes pack into
-    bundles and rebuild from memory-mapped views (:func:`index_from_arrays`)
-    without pickling.  ``fingerprint`` ties an index to the exact KB
-    surfaces, embedder parameters and config it was built from — a
-    mismatch at load time means stale, and stale indexes are rebuilt,
-    never served.
+    bundles and rebuild from memory-mapped views without pickling.
+    ``fingerprint`` ties an index to the exact KB surfaces and config it
+    was built from — a mismatch at load time means stale, and stale
+    indexes are rebuilt, never served.
     """
 
-    #: backend name; must match a member of :data:`RETRIEVAL_BACKENDS`.
+    #: index kind, recorded in the bundle manifest's retrieval entry.
     backend: str = ""
 
     def __init__(self, config: RetrievalConfig, num_nodes: int, fingerprint: int = 0):
@@ -145,12 +114,8 @@ class RetrievalIndex(abc.ABC):
 
     # -- querying -------------------------------------------------------
     @abc.abstractmethod
-    def query(self, surface: str, query_vec: Optional[np.ndarray] = None) -> np.ndarray:
-        """Shortlist of KB node ids (int64) for a surface form.
-
-        ``query_vec`` is the surface's ``HashingNgramEmbedder`` vector
-        when the caller already computed it (the LSH backend needs it;
-        the n-gram backend ignores it)."""
+    def query(self, surface: str) -> np.ndarray:
+        """Shortlist of KB node ids (int64) for a surface form."""
 
     # -- packing --------------------------------------------------------
     @abc.abstractmethod
@@ -162,28 +127,17 @@ class RetrievalIndex(abc.ABC):
         """JSON-serializable reconstruction parameters for the manifest."""
 
 
-def retrieval_fingerprint(
-    kb: "HeteroGraph",
-    config: RetrievalConfig,
-    embedder: Optional["HashingNgramEmbedder"] = None,
-) -> int:
+def retrieval_fingerprint(kb: "HeteroGraph", config: RetrievalConfig) -> int:
     """CRC fingerprint over everything that shapes a built index.
 
     Covers the KB's canonical names and aliases (order-sensitive — node
-    ids are positional), the embedder's hashing parameters, and the
-    retrieval config minus ``bundle_path`` (where an index lives does not
-    change what it contains).  A packed index whose recorded fingerprint
-    disagrees with the serving KB is stale and must be rebuilt.
+    ids are positional) and the retrieval config minus ``bundle_path``
+    (where an index lives does not change what it contains).  A packed
+    index whose recorded fingerprint disagrees with the serving KB is
+    stale and must be rebuilt.
     """
     payload = config.to_dict()
     payload.pop("bundle_path", None)
-    if embedder is not None:
-        payload["embedder"] = {
-            "dim": embedder.dim,
-            "ngram_range": list(embedder.ngram_range),
-            "use_words": embedder.use_words,
-            "seed": embedder.seed,
-        }
     crc = zlib.crc32(json.dumps(payload, sort_keys=True).encode("utf-8"))
     for node in range(kb.num_nodes):
         crc = zlib.crc32(kb.node_name(node).encode("utf-8"), crc)
@@ -192,60 +146,10 @@ def retrieval_fingerprint(
     return crc & 0xFFFFFFFF
 
 
-def build_retrieval_index(
-    kb: "HeteroGraph",
-    config: RetrievalConfig,
-    embedder: Optional["HashingNgramEmbedder"] = None,
-    name_matrix: Optional[np.ndarray] = None,
-) -> RetrievalIndex:
-    """Build the configured backend's index over ``kb``'s surfaces.
-
-    ``embedder`` is required for the LSH backend (its signatures live in
-    the embedder's vector space) and only fingerprinted for the n-gram
-    backend.  ``name_matrix`` lets callers that already embedded every
-    canonical name (the fuzzy oracle does) share the work.
-    """
-    from .lsh import LshIndex
+def build_retrieval_index(kb: "HeteroGraph", config: RetrievalConfig) -> RetrievalIndex:
+    """Build the n-gram postings index over ``kb``'s surfaces."""
     from .ngram import NgramPostingsIndex
 
-    fingerprint = retrieval_fingerprint(kb, config, embedder)
-    if config.backend == "ngram":
-        return NgramPostingsIndex.build(kb, config, fingerprint=fingerprint)
-    if config.backend == "lsh":
-        if embedder is None:
-            raise ValueError("the lsh retrieval backend requires an embedder")
-        return LshIndex.build(
-            kb,
-            config,
-            embedder=embedder,
-            name_matrix=name_matrix,
-            fingerprint=fingerprint,
-        )
-    raise ValueError(
-        f"unknown retrieval backend {config.backend!r}; options: {RETRIEVAL_BACKENDS}"
-    )  # pragma: no cover - RetrievalConfig already validates
-
-
-def index_from_arrays(
-    backend: str,
-    config: RetrievalConfig,
-    params: dict,
-    arrays: Dict[str, np.ndarray],
-    embedder: Optional["HashingNgramEmbedder"] = None,
-    fingerprint: int = 0,
-) -> RetrievalIndex:
-    """Reconstruct a packed index from its (possibly memory-mapped) arrays."""
-    from .lsh import LshIndex
-    from .ngram import NgramPostingsIndex
-
-    if backend == "ngram":
-        return NgramPostingsIndex.from_arrays(
-            config, params, arrays, fingerprint=fingerprint
-        )
-    if backend == "lsh":
-        return LshIndex.from_arrays(
-            config, params, arrays, embedder=embedder, fingerprint=fingerprint
-        )
-    raise ValueError(
-        f"unknown retrieval backend {backend!r}; options: {RETRIEVAL_BACKENDS}"
+    return NgramPostingsIndex.build(
+        kb, config, fingerprint=retrieval_fingerprint(kb, config)
     )

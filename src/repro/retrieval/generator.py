@@ -5,10 +5,13 @@ through the inverted index untouched — but an index miss no longer scans
 the whole KB.  A :class:`~repro.retrieval.base.RetrievalIndex` produces
 a shortlist in sublinear time, and the fuzzy oracle's exact scoring
 (cosine floor + edit-ratio filter + identical tie-breaking) reruns
-restricted to that shortlist.  Whenever the shortlist covers the
-oracle's survivors the output is *identical* to ``"fuzzy"``; recall is
-purely a question of shortlist coverage, which
-``benchmarks/bench_candidates.py`` guards at >= 0.95.
+restricted to that shortlist.  The oracle edit-filters only its top
+``max(4 * top_k, 16)`` cosine rows, so the output is *identical* to
+``"fuzzy"`` when the shortlist holds those rows.  Covering just the
+oracle's survivors is not enough: the restricted scan then reaches rows
+further down the cosine ranking, which the oracle never examined, and
+can return a longer list.  ``benchmarks/bench_candidates.py`` measures
+recall of the oracle's fallback lists against a 0.95 floor.
 
 With ``RetrievalConfig(bundle_path=...)`` the generator loads the packed
 index from a KB bundle (memory-mapped, fingerprint-checked) and — when
@@ -75,35 +78,24 @@ class IndexedCandidateGenerator(FuzzyFallbackCandidateGenerator):
             )
         self.retrieval_config = retrieval
         self.repacked = False
-        rescorer = self._fuzzy  # the oracle; owns the embedder + name matrix
-        fingerprint = retrieval_fingerprint(kb, retrieval, rescorer.embedder)
         loaded: Optional[RetrievalIndex] = None
         if retrieval.bundle_path is not None:
             loaded = load_packed_index(
                 retrieval.bundle_path,
                 retrieval,
-                expected_fingerprint=fingerprint,
-                embedder=rescorer.embedder,
+                expected_fingerprint=retrieval_fingerprint(kb, retrieval),
             )
         if loaded is not None:
             self.retrieval_index = loaded
         else:
-            self.retrieval_index = build_retrieval_index(
-                kb,
-                retrieval,
-                embedder=rescorer.embedder,
-                name_matrix=rescorer._name_matrix,
-            )
+            self.retrieval_index = build_retrieval_index(kb, retrieval)
             if retrieval.bundle_path is not None:
                 self.repacked = repack_index(
                     retrieval.bundle_path, self.retrieval_index
                 )
 
     def _fallback(self, surface: str) -> List[int]:
-        query_vec = self._fuzzy.embedder.embed(surface)
-        shortlist = self.retrieval_index.query(surface, query_vec=query_vec)
+        shortlist = self.retrieval_index.query(surface)
         if shortlist.size == 0:
             return []
-        return self._fuzzy.candidate_ids(
-            surface, top_k=self.top_k, within=shortlist, query_vec=query_vec
-        )
+        return self._fuzzy.candidate_ids(surface, top_k=self.top_k, within=shortlist)

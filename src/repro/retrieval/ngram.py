@@ -17,7 +17,7 @@ than ``max_df_ratio`` of all entities get zero IDF (stop-grams like
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 import numpy as np
 
@@ -143,7 +143,7 @@ class NgramPostingsIndex(RetrievalIndex):
         )
 
     # ------------------------------------------------------------------
-    def query(self, surface: str, query_vec: Optional[np.ndarray] = None) -> np.ndarray:
+    def query(self, surface: str) -> np.ndarray:
         offsets, postings, idf = self.offsets, self.postings, self.idf
         buckets = np.asarray(self._buckets(surface), dtype=np.int64)
         weights = idf[buckets]

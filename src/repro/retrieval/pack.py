@@ -2,17 +2,17 @@
 
 A packed index is a set of ``retrieval_<name>.npy`` files next to the
 bundle's feature/embedding arrays plus a ``"retrieval"`` manifest entry
-recording the backend, the build fingerprint, the config and params it
-was built under, and per-array ``{shape, dtype, crc}`` — the same
+recording the index kind, the build fingerprint, the config and params
+it was built under, and per-array ``{shape, dtype, crc}`` — the same
 written-last/atomic manifest discipline as the rest of the bundle, so a
 crashed pack never leaves a loadable-but-wrong index.
 
 Loading memory-maps every array read-only (``np.load(mmap_mode="r")``),
 so N serving processes on one bundle share a single page-cache copy of
-the postings/signature arrays.  A fingerprint mismatch (KB
-surfaces, embedder params or retrieval config changed since packing)
-loads as ``None`` — callers rebuild and, when a manifest exists,
-:func:`repack_index` refreshes the entry in place.
+the postings arrays.  A fingerprint mismatch (KB surfaces or retrieval
+config changed since packing) loads as ``None`` — callers rebuild and,
+when a manifest exists, :func:`repack_index` refreshes the entry in
+place.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from ..storage.base import StorageError
 from ..storage.bundle import MANIFEST_NAME, read_manifest, write_manifest
-from .base import RetrievalConfig, RetrievalIndex, index_from_arrays
+from .base import RetrievalConfig, RetrievalIndex
+from .ngram import NgramPostingsIndex
 
 __all__ = [
     "RETRIEVAL_ARRAY_PREFIX",
@@ -71,26 +72,20 @@ def load_packed_index(
     directory: str,
     config: RetrievalConfig,
     expected_fingerprint: int,
-    embedder=None,
 ) -> Optional[RetrievalIndex]:
     """Load the packed index from a bundle, or ``None`` when it is unusable.
 
     ``None`` means "build it yourself": no bundle/manifest yet, no
-    retrieval entry, a different backend, or a fingerprint mismatch
-    (stale).  A bundle that *claims* to have a current index but whose
-    arrays are unreadable or mis-shaped raises :class:`StorageError` —
-    that is corruption, not staleness, and silently rebuilding would
-    mask it.
+    retrieval entry, or a fingerprint mismatch (stale).  A bundle that
+    *claims* to have a current index but whose arrays are unreadable or
+    mis-shaped raises :class:`StorageError` — that is corruption, not
+    staleness, and silently rebuilding would mask it.
     """
     if not os.path.exists(os.path.join(directory, MANIFEST_NAME)):
         return None
     manifest = read_manifest(directory)
     entry = manifest.get("retrieval")
-    if (
-        entry is None
-        or entry["backend"] != config.backend
-        or int(entry["fingerprint"]) != int(expected_fingerprint)
-    ):
+    if entry is None or int(entry["fingerprint"]) != int(expected_fingerprint):
         return None
     arrays: Dict[str, np.ndarray] = {}
     for name, meta in entry["arrays"].items():
@@ -107,13 +102,8 @@ def load_packed_index(
                 f"!= manifest {tuple(meta['shape'])}/{meta['dtype']}"
             )
         arrays[name] = array
-    return index_from_arrays(
-        entry["backend"],
-        config,
-        entry["params"],
-        arrays,
-        embedder=embedder,
-        fingerprint=int(entry["fingerprint"]),
+    return NgramPostingsIndex.from_arrays(
+        config, entry["params"], arrays, fingerprint=int(entry["fingerprint"])
     )
 
 

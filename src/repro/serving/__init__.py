@@ -24,11 +24,11 @@ schema-versioned wire format of ``wire`` (:class:`LinkRequest`,
 Overload protection is the ``admission`` module:
 :class:`AdmissionConfig` (the ``admission`` section of
 :class:`ServiceConfig`; default shed policy from ``$REPRO_ADMISSION``)
-bounds the scheduler's queue with priority classes, sheds the overflow
-as structured 429s with ``Retry-After``
-(:class:`AdmissionError` / :class:`LinkerOverloadedError`), and — with
-``adaptive=True`` — lets the :class:`AdaptiveTuner` AIMD-adjust the
-deadline/batch policy from observed queue-wait p95s.
+bounds the scheduler's queue with priority classes and sheds the
+overflow as structured 429s with ``Retry-After``
+(:class:`AdmissionError` / :class:`LinkerOverloadedError`), by queue
+depth or by estimated queue wait.  The scheduler's ``deadline_ms`` and
+``max_batch_size`` are fixed for the life of the service.
 See ``examples/serving_quickstart.py``, ``examples/http_quickstart.py``
 and the ``repro serve`` CLI command (``repro serve --http PORT``).
 """
@@ -36,7 +36,6 @@ and the ``repro serve`` CLI command (``repro serve --http PORT``).
 from .admission import (  # noqa: F401
     PRIORITIES,
     SHED_POLICIES,
-    AdaptiveTuner,
     AdmissionConfig,
     AdmissionController,
     AdmissionError,
@@ -83,7 +82,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionError",
-    "AdaptiveTuner",
     "PRIORITIES",
     "SHED_POLICIES",
     "WIRE_SCHEMA_VERSION",

@@ -1,13 +1,13 @@
-"""Admission control and adaptive batch policy for the serving stack.
+"""Admission control for the serving stack.
 
 Production entity-linking traffic is bursty: when arrivals exceed the
 service's compute capacity, an unbounded queue turns every request into
-a timeout.  The classic remedy (and the Clipper-style serving designs in
-PAPERS.md) is to *shed early*: bound the queue, reject the overflow with
-a structured 429 that carries a ``Retry-After`` hint, and keep the
-admitted requests inside their latency contract.
+a timeout.  The classic remedy is to *shed early*: bound the queue,
+reject the overflow with a structured 429 that carries a
+``Retry-After`` hint, and keep the admitted requests inside their
+latency contract.
 
-Three pieces, all policy-only (no threads, no wall clock — callers pass
+Two pieces, both policy-only (no threads, no wall clock — callers pass
 ``now`` exactly like :class:`~repro.serving.scheduler.DeadlineBatcher`,
 so every decision is unit-testable with a fake clock):
 
@@ -22,21 +22,13 @@ so every decision is unit-testable with a fake clock):
   Priority classes (``high`` / ``normal`` / ``low``) see scaled budgets:
   low-priority traffic is shed first, and ``normal`` leaves headroom so
   ``high`` still admits at the bound.
-* :class:`AdaptiveTuner` — closes the telemetry->policy loop.  AIMD on
-  the scheduler's ``deadline_ms`` / max batch size against a sliding
-  window of observed queue-wait p95s: multiplicative backoff when the
-  p95 blows the target, additive recovery when it is comfortably under,
-  always clamped to the configured floor/ceiling.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional
-
-import numpy as np
+from typing import Optional
 
 __all__ = [
     "PRIORITIES",
@@ -47,7 +39,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionError",
     "AdmissionController",
-    "AdaptiveTuner",
 ]
 
 #: priority classes in flush order (highest first); also the wire values
@@ -67,11 +58,6 @@ PRIORITY_HEADROOM = {"high": 1.0, "normal": 0.8, "low": 0.5}
 
 #: EWMA smoothing for the observed per-request drain cost
 EWMA_ALPHA = 0.2
-
-#: AIMD constants: multiplicative backoff factor, additive recovery steps
-AIMD_BACKOFF = 0.5
-DEADLINE_STEP_MS = 1.0
-BATCH_STEP = 1
 
 
 def default_shed_policy() -> str:
@@ -95,14 +81,6 @@ class AdmissionConfig:
     # Estimated-wait budget for shed_policy="wait"; 0 inherits the
     # scheduler's deadline_ms (the latency contract already in force).
     max_wait_ms: float = 0.0
-    # Adaptive tuning (AdaptiveTuner) of deadline_ms / max batch size.
-    adaptive: bool = False
-    target_p95_ms: float = 0.0  # tuner's queue-wait p95 target; 0 = deadline_ms
-    tuner_window: int = 64  # queue-wait observations per adjustment window
-    tuner_interval_ms: float = 250.0  # min spacing between adjustments
-    min_deadline_ms: float = 5.0  # tuner floor for deadline_ms
-    max_deadline_ms: float = 250.0  # tuner ceiling for deadline_ms
-    min_batch_size: int = 1  # tuner floor for the max batch size
 
     def __post_init__(self):
         if self.shed_policy not in SHED_POLICIES:
@@ -114,20 +92,6 @@ class AdmissionConfig:
             raise ValueError("admission max_queue must be >= 1")
         if self.max_wait_ms < 0:
             raise ValueError("admission max_wait_ms must be >= 0")
-        if self.target_p95_ms < 0:
-            raise ValueError("admission target_p95_ms must be >= 0")
-        if self.tuner_window < 2:
-            raise ValueError("admission tuner_window must be >= 2")
-        if self.tuner_interval_ms <= 0:
-            raise ValueError("admission tuner_interval_ms must be > 0")
-        if self.min_deadline_ms <= 0:
-            raise ValueError("admission min_deadline_ms must be > 0")
-        if self.max_deadline_ms < self.min_deadline_ms:
-            raise ValueError(
-                "admission max_deadline_ms must be >= min_deadline_ms"
-            )
-        if self.min_batch_size < 1:
-            raise ValueError("admission min_batch_size must be >= 1")
 
 
 class AdmissionError(RuntimeError):
@@ -216,75 +180,3 @@ class AdmissionController:
                     retry_after_ms=self.retry_after_ms(depth),
                 )
         return None
-
-
-class AdaptiveTuner:
-    """AIMD tuner of the scheduler's ``deadline_ms`` / max batch size.
-
-    Observes per-request queue waits (submit -> batch formed, the metric
-    the deadline contract is written against); once a window holds
-    enough samples and ``tuner_interval_ms`` has elapsed since the last
-    adjustment, compares the window's p95 to the target:
-
-    * p95 over target — multiplicative backoff: halve the deadline and
-      the batch size (flush sooner and smaller), clamped to the floors;
-    * p95 under half the target — additive recovery: one step back
-      toward the configured ceilings;
-    * otherwise — stable, no change.
-
-    The window is cleared after every adjustment so the next decision
-    reflects only the new policy.  Like ``DeadlineBatcher`` it never
-    reads the clock — callers pass ``now`` — so convergence is provable
-    with a fake clock.
-    """
-
-    def __init__(self, config: AdmissionConfig, deadline_ms: float, max_batch_size: int):
-        self.config = config
-        self.target_ms = (
-            config.target_p95_ms if config.target_p95_ms > 0 else deadline_ms
-        )
-        self.floor_ms = config.min_deadline_ms
-        self.ceiling_ms = config.max_deadline_ms
-        self.deadline_ms = min(max(deadline_ms, self.floor_ms), self.ceiling_ms)
-        self.batch_floor = config.min_batch_size
-        self.batch_ceiling = max(max_batch_size, config.min_batch_size)
-        self.batch_size = self.batch_ceiling
-        self.adjustments = 0
-        self._window: Deque[float] = deque(maxlen=config.tuner_window)
-        self._last_adjust_at: Optional[float] = None
-
-    def observe(self, queue_wait_ms: float, now: float) -> bool:
-        """Record one queue wait; True when the policy just changed."""
-        self._window.append(queue_wait_ms)
-        return self.maybe_adjust(now)
-
-    def window_p95(self) -> float:
-        if not self._window:
-            return 0.0
-        return float(np.percentile(np.asarray(self._window), 95))
-
-    def maybe_adjust(self, now: float) -> bool:
-        """One AIMD step if a decision is due; True when policy changed."""
-        if len(self._window) < max(2, (self._window.maxlen or 2) // 2):
-            return False
-        if (
-            self._last_adjust_at is not None
-            and (now - self._last_adjust_at) * 1000.0 < self.config.tuner_interval_ms
-        ):
-            return False
-        p95 = self.window_p95()
-        deadline, batch = self.deadline_ms, self.batch_size
-        if p95 > self.target_ms:
-            deadline = max(self.floor_ms, self.deadline_ms * AIMD_BACKOFF)
-            batch = max(self.batch_floor, self.batch_size // 2)
-        elif p95 <= 0.5 * self.target_ms:
-            deadline = min(self.ceiling_ms, self.deadline_ms + DEADLINE_STEP_MS)
-            batch = min(self.batch_ceiling, self.batch_size + BATCH_STEP)
-        self._last_adjust_at = now
-        if deadline == self.deadline_ms and batch == self.batch_size:
-            return False
-        self.deadline_ms = deadline
-        self.batch_size = batch
-        self.adjustments += 1
-        self._window.clear()
-        return True

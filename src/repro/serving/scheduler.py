@@ -44,7 +44,6 @@ from ..text.corpus import Snippet
 from .admission import (
     DEFAULT_PRIORITY,
     PRIORITIES,
-    AdaptiveTuner,
     AdmissionConfig,
     AdmissionController,
     AdmissionError,
@@ -170,8 +169,8 @@ class AsyncLinkingService:
             self.service = LinkingService(pipeline_or_service, config)
         # The worker's Condition.wait timeout elapses in real time, so the
         # service clock must be the monotonic wall clock; fake-clock tests
-        # target DeadlineBatcher / AdmissionController / AdaptiveTuner,
-        # which take `now` from their callers.
+        # target DeadlineBatcher / AdmissionController, which take `now`
+        # from their callers.
         self.clock = time.monotonic
         self.deadline_s = deadline_ms / 1000.0
         batch = max_batch_size or self.service.config.max_batch_size
@@ -179,11 +178,6 @@ class AsyncLinkingService:
         self.max_in_flight = max_in_flight or max(64, 4 * batch)
         self.admission_config = admission or self.service.config.admission
         self.admission = AdmissionController(self.admission_config, deadline_ms)
-        self.tuner: Optional[AdaptiveTuner] = (
-            AdaptiveTuner(self.admission_config, deadline_ms, batch)
-            if self.admission_config.adaptive
-            else None
-        )
         self._cond = threading.Condition()
         self._closed = False
         self._worker = threading.Thread(
@@ -309,24 +303,8 @@ class AsyncLinkingService:
                 done_at - request.enqueued_at, formed_at - request.enqueued_at
             )
             request.future.set_result(outcome)
-        # Feed the policy loop: the controller's estimated-wait model
-        # tracks the real drain rate, and the tuner AIMD-adjusts the
-        # deadline/batch policy from the observed queue waits.
+        # The controller's estimated-wait model tracks the real drain rate.
         self.admission.observe_batch(len(live), done_at - formed_at)
-        if self.tuner is not None:
-            adjusted = False
-            for request in live:
-                adjusted |= self.tuner.observe(
-                    (formed_at - request.enqueued_at) * 1000.0, done_at
-                )
-            if adjusted:
-                with self._cond:
-                    self.deadline_s = self.tuner.deadline_ms / 1000.0
-                    self.batcher.deadline_s = self.deadline_s
-                    self.batcher.max_batch_size = self.tuner.batch_size
-            self.stats.record_tuner(
-                self.tuner.deadline_ms, self.tuner.batch_size, self.tuner.adjustments
-            )
 
     def _link_isolating_failures(
         self, requests: List[QueuedRequest]

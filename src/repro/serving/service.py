@@ -128,9 +128,9 @@ class ServiceConfig:
     # LinkerConfig JSON round trip is strictly coerced.
     storage: StorageConfig = field(default_factory=StorageConfig)
     # Overload policy of the async scheduler (repro.serving.admission):
-    # queue bound, shed policy (default $REPRO_ADMISSION), priorities,
-    # and the adaptive deadline/batch tuner.  Same strict dict coercion
-    # as http/storage, so it round-trips through LinkerConfig JSON.
+    # queue bound, shed policy (default $REPRO_ADMISSION) and
+    # priorities.  Same strict dict coercion as http/storage, so it
+    # round-trips through LinkerConfig JSON.
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
 
     def __post_init__(self):

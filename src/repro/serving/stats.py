@@ -54,13 +54,9 @@ class ServiceStats:
     candidate_index_hits: int = 0
     candidate_fallbacks: int = 0
     # Admission / overload telemetry (repro.serving.admission): admitted
-    # and shed requests per priority class, plus the adaptive tuner's
-    # live policy (gauges; tuner_batch_size stays 0 when tuning is off).
+    # and shed requests per priority class.
     admitted: Dict[str, int] = field(default_factory=dict)
     shed: Dict[str, int] = field(default_factory=dict)
-    tuner_deadline_ms: float = 0.0
-    tuner_batch_size: int = 0
-    tuner_adjustments: int = 0
     # Per-shard telemetry (repro.serving.sharding): per-shard score calls
     # and wall time, snapshotted from the sharded backend's own counters.
     shard_score_calls: List[int] = field(default_factory=list)
@@ -126,14 +122,6 @@ class ServiceStats:
     def record_shed(self, priority: str) -> None:
         """One request shed at the gate under ``priority``."""
         self.shed[priority] = self.shed.get(priority, 0) + 1
-
-    def record_tuner(
-        self, deadline_ms: float, batch_size: int, adjustments: int
-    ) -> None:
-        """Snapshot of the adaptive tuner's live policy (gauges)."""
-        self.tuner_deadline_ms = deadline_ms
-        self.tuner_batch_size = batch_size
-        self.tuner_adjustments = adjustments
 
     def record_shards(self, calls: List[int], seconds: List[float]) -> None:
         """Snapshot of the sharded backend's lifetime per-shard score
@@ -224,14 +212,6 @@ class ServiceStats:
             "shed": dict(self.shed),
             "shed_rate": round(self.shed_rate, 4),
         }
-        if self.tuner_batch_size > 0:
-            # Only adaptive serving reports a tuner; the payload keeps
-            # its original shape otherwise.
-            payload.update(
-                tuner_deadline_ms=round(self.tuner_deadline_ms, 3),
-                tuner_batch_size=self.tuner_batch_size,
-                tuner_adjustments=self.tuner_adjustments,
-            )
         if self.shard_score_calls:
             payload.update(
                 shard_score_calls=list(self.shard_score_calls),
@@ -284,9 +264,6 @@ class ServiceStats:
         gauges = [
             ("cache_hit_rate", self.cache_hit_rate, "result cache hit rate"),
             ("admission_shed_rate", self.shed_rate, "fraction of gate arrivals shed"),
-            ("tuner_deadline_ms", self.tuner_deadline_ms, "adaptive tuner's live deadline budget"),
-            ("tuner_batch_size", self.tuner_batch_size, "adaptive tuner's live max batch size"),
-            ("tuner_adjustments", self.tuner_adjustments, "adaptive tuner policy adjustments"),
             ("mean_batch_size", self.mean_batch_size, "mean micro-batch size"),
             ("mentions_per_second", self.mentions_per_second, "compute-path throughput"),
         ]
@@ -391,9 +368,6 @@ class ServiceStats:
         self.candidate_fallbacks = 0
         self.admitted = {}
         self.shed = {}
-        self.tuner_deadline_ms = 0.0
-        self.tuner_batch_size = 0
-        self.tuner_adjustments = 0
         self.shard_score_calls = []
         self.shard_score_seconds = []
         self.latencies_ms = deque(maxlen=LATENCY_WINDOW)

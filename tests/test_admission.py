@@ -1,7 +1,7 @@
-"""Tests for admission control, load shedding, and the adaptive tuner.
+"""Tests for admission control and load shedding.
 
-The policy objects (:class:`AdmissionController`, :class:`AdaptiveTuner`)
-are exercised with fake clocks and synthetic observations — no sleeps.
+The policy object (:class:`AdmissionController`) is exercised with fake
+clocks and synthetic observations — no sleeps.
 The configuration surface is checked end to end: strict validation,
 the ``REPRO_ADMISSION`` env default, the exact round trip through
 ``ServiceConfig`` / ``LinkerConfig`` JSON, and Python-API / env / CLI
@@ -22,7 +22,6 @@ from repro.api import Linker, LinkerConfig
 from repro.core import EDPipeline, ModelConfig, TrainConfig
 from repro.datasets import load_dataset
 from repro.serving import (
-    AdaptiveTuner,
     AdmissionConfig,
     AdmissionController,
     AdmissionError,
@@ -60,7 +59,7 @@ class TestAdmissionConfig:
         config = AdmissionConfig()
         assert config.shed_policy == "none"
         assert config.max_queue == 256
-        assert not config.adaptive
+        assert config.max_wait_ms == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shed_policy"):
@@ -69,16 +68,6 @@ class TestAdmissionConfig:
             AdmissionConfig(max_queue=0)
         with pytest.raises(ValueError, match="max_wait_ms"):
             AdmissionConfig(max_wait_ms=-1.0)
-        with pytest.raises(ValueError, match="tuner_window"):
-            AdmissionConfig(tuner_window=1)
-        with pytest.raises(ValueError, match="tuner_interval_ms"):
-            AdmissionConfig(tuner_interval_ms=0.0)
-        with pytest.raises(ValueError, match="min_deadline_ms"):
-            AdmissionConfig(min_deadline_ms=0.0)
-        with pytest.raises(ValueError, match="max_deadline_ms"):
-            AdmissionConfig(min_deadline_ms=50.0, max_deadline_ms=10.0)
-        with pytest.raises(ValueError, match="min_batch_size"):
-            AdmissionConfig(min_batch_size=0)
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_ADMISSION", "wait")
@@ -111,8 +100,6 @@ class TestAdmissionConfig:
                     shed_policy="wait",
                     max_queue=16,
                     max_wait_ms=40.0,
-                    adaptive=True,
-                    target_p95_ms=30.0,
                 )
             )
         )
@@ -195,98 +182,6 @@ class TestAdmissionController:
             AdmissionConfig(shed_policy="wait"), deadline_ms=25.0
         )
         assert controller.wait_budget_ms == 25.0
-
-
-# ---------------------------------------------------------------------------
-# AdaptiveTuner: AIMD with a fake clock
-# ---------------------------------------------------------------------------
-class TestAdaptiveTuner:
-    CONFIG = AdmissionConfig(
-        shed_policy="depth",
-        adaptive=True,
-        tuner_window=8,
-        tuner_interval_ms=100.0,
-        min_deadline_ms=5.0,
-        max_deadline_ms=100.0,
-        min_batch_size=2,
-    )
-
-    def make(self, deadline_ms=40.0, batch=16):
-        return AdaptiveTuner(self.CONFIG, deadline_ms, batch)
-
-    def fill(self, tuner, wait_ms, now, n=8):
-        changed = False
-        for _ in range(n):
-            changed |= tuner.observe(wait_ms, now)
-        return changed
-
-    def test_backoff_when_p95_over_target(self):
-        tuner = self.make()
-        assert tuner.target_ms == 40.0
-        assert self.fill(tuner, 80.0, now=1.0)
-        assert tuner.deadline_ms == 20.0  # multiplicative halving
-        assert tuner.batch_size == 8
-        assert tuner.adjustments == 1
-
-    def test_recovery_when_p95_under_half_target(self):
-        tuner = self.make()
-        assert self.fill(tuner, 5.0, now=1.0)
-        assert tuner.deadline_ms == 41.0  # additive +1ms
-        assert tuner.batch_size == 16  # already at the ceiling
-
-    def test_stable_band_holds_policy(self):
-        tuner = self.make()
-        assert not self.fill(tuner, 30.0, now=1.0)  # between 0.5x and 1x target
-        assert tuner.deadline_ms == 40.0
-        assert tuner.adjustments == 0
-
-    def test_interval_gates_adjustments(self):
-        tuner = self.make()
-        assert self.fill(tuner, 80.0, now=1.0)
-        # Window was cleared; refill within the 100ms interval: no change.
-        assert not self.fill(tuner, 80.0, now=1.05)
-        assert tuner.deadline_ms == 20.0
-        # Past the interval the next backoff lands.
-        assert tuner.maybe_adjust(now=1.2)
-        assert tuner.deadline_ms == 10.0
-
-    def test_converges_to_floor_and_never_below(self):
-        tuner = self.make()
-        now = 0.0
-        for _ in range(20):  # sustained overload
-            now += 1.0
-            self.fill(tuner, 500.0, now=now)
-        assert tuner.deadline_ms == self.CONFIG.min_deadline_ms
-        assert tuner.batch_size == self.CONFIG.min_batch_size
-
-    def test_recovers_to_ceiling_and_never_above(self):
-        tuner = self.make(deadline_ms=40.0, batch=4)
-        now = 0.0
-        for _ in range(200):  # sustained idle after the load spike
-            now += 1.0
-            self.fill(tuner, 1.0, now=now)
-        assert tuner.deadline_ms == self.CONFIG.max_deadline_ms
-        assert tuner.batch_size == 4  # ceiling is the configured max batch
-
-    def test_step_load_then_recovery(self):
-        tuner = self.make()
-        now = 1.0
-        self.fill(tuner, 200.0, now=now)  # spike: back off
-        backed_off = tuner.deadline_ms
-        assert backed_off < 40.0
-        # Calm traffic recovers additively (the first calm round may eat
-        # one more backoff from spike samples still in the window).
-        for _ in range(15):
-            now += 1.0
-            self.fill(tuner, 2.0, now=now)
-        assert backed_off < tuner.deadline_ms <= self.CONFIG.max_deadline_ms
-
-    def test_deadline_clamped_into_bounds_at_construction(self):
-        tuner = AdaptiveTuner(self.CONFIG, deadline_ms=1000.0, max_batch_size=16)
-        assert tuner.deadline_ms == self.CONFIG.max_deadline_ms
-        tuner = AdaptiveTuner(self.CONFIG, deadline_ms=1.0, max_batch_size=1)
-        assert tuner.deadline_ms == self.CONFIG.min_deadline_ms
-        assert tuner.batch_ceiling == self.CONFIG.min_batch_size
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +478,9 @@ class TestAdmissionParity:
     def test_cli_flags_build_the_same_config(self, monkeypatch):
         admission = self.capture_cli(
             monkeypatch,
-            ["--shed-policy", "wait", "--max-queue", "4", "--adaptive"],
+            ["--shed-policy", "wait", "--max-queue", "4"],
         )
-        assert admission == AdmissionConfig(
-            shed_policy="wait", max_queue=4, adaptive=True
-        )
+        assert admission == AdmissionConfig(shed_policy="wait", max_queue=4)
 
     def test_cli_max_queue_implies_depth(self, monkeypatch):
         monkeypatch.delenv("REPRO_ADMISSION", raising=False)

@@ -4,7 +4,8 @@ Covers the acceptance contract of the facade redesign:
 
 * ``LinkerConfig.from_json(cfg.to_json())`` round-trips for every
   registered component combination (and rejects unknown keys, unknown
-  component names, and bad schema versions);
+  component names, and bad schema versions — a v1 or v2 payload, or a
+  checkpoint carrying one, fails naming every key removed since);
 * the registries reject duplicate names and list options on a miss;
 * a ``Linker.save`` checkpoint reproduces ``disambiguate_snippet``
   predictions bit-identically after ``Linker.load`` — equal to the
@@ -43,6 +44,47 @@ from repro.serving import ServiceConfig
 from repro.text import HashingNgramEmbedder
 
 SMALL_MODEL = dict(variant="graphsage", num_layers=2, feature_dim=32, hidden_dim=32)
+
+
+#: keys a schema-version-2 payload carried that version 3 removed (the
+#: LSH retrieval backend and the adaptive admission tuner), with their
+#: version-2 defaults
+V2_REMOVED = {
+    "retrieval.backend": "ngram",
+    "retrieval.num_bands": 32,
+    "retrieval.band_bits": 12,
+    "retrieval.probe_radius": 1,
+    "service.admission.adaptive": False,
+    "service.admission.target_p95_ms": 0.0,
+    "service.admission.tuner_window": 64,
+    "service.admission.tuner_interval_ms": 250.0,
+    "service.admission.min_deadline_ms": 5.0,
+    "service.admission.max_deadline_ms": 250.0,
+    "service.admission.min_batch_size": 1,
+}
+#: keys a schema-version-1 payload carried that version 2 removed
+V1_REMOVED = {
+    "service.shard_backend": "thread",
+    "service.shard_workers": 0,
+    "service.storage.share_payloads": False,
+}
+
+
+def legacy_payload(config: LinkerConfig, version: int) -> dict:
+    """``config`` as a payload of an earlier schema version: the current
+    layout plus every key removed since ``version``."""
+    payload = config.to_dict()
+    payload["schema_version"] = version
+    removed = dict(V2_REMOVED)
+    if version == 1:
+        removed.update(V1_REMOVED)
+    for dotted, value in removed.items():
+        *path, key = dotted.split(".")
+        section = payload
+        for name in path:
+            section = section[name]
+        section[key] = value
+    return payload
 
 
 def small_config(**overrides) -> LinkerConfig:
@@ -197,19 +239,64 @@ class TestLinkerConfigRejection:
             LinkerConfig.from_dict(payload)
 
     def test_v1_payload_rejected_naming_removed_keys(self):
-        payload = small_config().to_dict()
-        payload["schema_version"] = 1
-        payload["service"]["shard_backend"] = "thread"
+        payload = legacy_payload(small_config(), 1)
         with pytest.raises(
             ValueError,
             match=r"schema_version 1 .*service\.shard_backend, "
             r"service\.shard_workers, service\.storage\.share_payloads",
-        ):
+        ) as info:
             LinkerConfig.from_dict(payload)
+        # Every key removed since version 1 is named, not just version 2's.
+        for key in V2_REMOVED:
+            assert key in str(info.value)
         # Nor does the current version accept a removed key silently.
         payload["schema_version"] = CONFIG_SCHEMA_VERSION
         with pytest.raises(ValueError, match="bad service section.*shard_backend"):
             LinkerConfig.from_dict(payload)
+
+    def test_v2_payload_rejected_naming_removed_keys(self):
+        payload = legacy_payload(small_config(), 2)
+        with pytest.raises(ValueError, match="schema_version 2 ") as info:
+            LinkerConfig.from_dict(payload)
+        for key in V2_REMOVED:
+            assert key in str(info.value)
+        for key in V1_REMOVED:
+            assert key not in str(info.value)
+        # Relabelled as the current version, the removed keys still fail
+        # their sections instead of being dropped silently.
+        payload["schema_version"] = CONFIG_SCHEMA_VERSION
+        with pytest.raises(ValueError, match="bad admission section.*adaptive"):
+            LinkerConfig.from_dict(payload)
+        del payload["service"]["admission"]
+        with pytest.raises(ValueError, match="bad retrieval section.*backend"):
+            LinkerConfig.from_dict(payload)
+
+    def test_v3_round_trips_exactly(self):
+        from repro.retrieval import RetrievalConfig
+        from repro.serving import AdmissionConfig
+
+        config = small_config(
+            retrieval=RetrievalConfig(shortlist=64, max_df_ratio=0.02, bundle_path="b"),
+            service=ServiceConfig(
+                admission=AdmissionConfig(
+                    shed_policy="wait", max_queue=16, max_wait_ms=40.0
+                )
+            ),
+        )
+        payload = json.loads(config.to_json())
+        assert CONFIG_SCHEMA_VERSION == 3
+        assert payload["schema_version"] == 3
+        loaded = LinkerConfig.from_json(config.to_json())
+        assert loaded.to_dict() == config.to_dict()
+        assert loaded.retrieval == config.retrieval
+        assert loaded.service == config.service
+        assert set(payload["retrieval"]) == {
+            "shortlist", "ngram_size", "num_buckets", "max_df_ratio", "seed",
+            "bundle_path",
+        }
+        assert set(payload["service"]["admission"]) == {
+            "shed_policy", "max_queue", "max_wait_ms",
+        }
 
     def test_missing_schema_version(self):
         payload = LinkerConfig().to_dict()
@@ -319,6 +406,15 @@ class TestLinkerPersistence:
         # The legacy checkpoint files ride along unchanged.
         for name in ("kb.json", "config.json", "weights.npz"):
             assert (tmp_path / name).exists()
+
+    def test_load_rejects_v2_linker_json(self, trained, tmp_path):
+        trained.save(str(tmp_path))
+        path = tmp_path / LINKER_CONFIG_FILE
+        path.write_text(json.dumps(legacy_payload(trained.config, 2)))
+        with pytest.raises(ValueError, match="schema_version 2 ") as info:
+            Linker.load(str(tmp_path))
+        for key in V2_REMOVED:
+            assert key in str(info.value)
 
     def test_load_equals_legacy_load_bit_identically(self, dataset, trained, tmp_path):
         """Acceptance: Linker.save/load == save_pipeline/load_pipeline,

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.api import CONFIG_SCHEMA_VERSION
 from repro.cli import build_parser, main
 
 SCALE = "0.2"
@@ -358,7 +359,9 @@ class TestConfig:
     def test_validate_rejects_incomplete_section_cleanly(self, tmp_path):
         # No raw KeyError traceback: a sited SystemExit instead.
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"schema_version": 2, "train": {"epochs": 10}}))
+        path.write_text(
+            json.dumps({"schema_version": CONFIG_SCHEMA_VERSION, "train": {"epochs": 10}})
+        )
         with pytest.raises(SystemExit, match="bad train section"):
             main(["config", "validate", str(path)])
 
@@ -554,16 +557,6 @@ class TestKbPack:
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(lines) == 5  # four predictions + the stats payload
         assert lines[4]["stats"]["candidate_generator"] == "indexed"
-
-    def test_pack_with_index_backend_override(self, checkpoint, tmp_path, capsys):
-        bundle = str(tmp_path / "lsh_bundle")
-        assert main(
-            ["kb", "pack", "--checkpoint", checkpoint, "--out", bundle,
-             "--with-index", "--index-backend", "lsh", "--no-embeddings"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "retrieval lsh index" in out
-        assert os.path.exists(os.path.join(bundle, "retrieval_planes.npy"))
 
     def test_serve_kb_store_mmap_without_bundle(self, checkpoint, capsys):
         # No --kb-bundle: the mmap store packs a private temporary bundle

@@ -3,14 +3,14 @@
 Covers the acceptance contract of the indexed-generator tentpole:
 
 * the vectorised ``edit_distances`` matches the scalar DP exactly;
-* ``RetrievalConfig`` is strict (unknown backends / out-of-range knobs
-  rejected) and round-trips through ``LinkerConfig``;
+* ``RetrievalConfig`` is strict (out-of-range knobs rejected) and
+  round-trips through ``LinkerConfig``;
 * the ``REPRO_CANDIDATES`` environment default picks the generator and
   a typo'd value fails with the registry's options listed;
-* both shortlist backends return capped, deduplicated, deterministic
+* the n-gram index returns capped, deduplicated, deterministic
   shortlists, and the ``"indexed"`` generator reproduces the fuzzy
   oracle exactly when the shortlist covers the whole KB;
-* packed indexes round-trip bit-exactly through a PR-7 bundle,
+* packed indexes round-trip bit-exactly through a KB bundle,
   staleness rebuilds + repacks, corruption raises ``StorageError``;
 * candidate telemetry lands in ``ServiceStats`` and its Prometheus
   rendering.
@@ -29,7 +29,6 @@ from repro.core import (
 from repro.datasets import load_dataset
 from repro.retrieval import (
     CANDIDATES_ENV,
-    RETRIEVAL_BACKENDS,
     IndexedCandidateGenerator,
     RetrievalConfig,
     build_retrieval_index,
@@ -76,7 +75,7 @@ def name_matrix(kb, embedder):
 @pytest.fixture(scope="module")
 def typo_surfaces(kb):
     """Typo'd variants of KB names — the index-miss queries the fuzzy
-    fallback (and therefore the shortlist backends) exist for."""
+    fallback (and therefore the shortlist index) exist for."""
     rng = np.random.default_rng(7)
     surfaces = []
     for node in range(kb.num_nodes):
@@ -136,25 +135,18 @@ class TestEditDistances:
 class TestRetrievalConfig:
     def test_defaults(self):
         config = RetrievalConfig()
-        assert config.backend == "ngram"
         assert config.shortlist == 256
-        assert config.probe_radius == 1
+        assert config.max_df_ratio == 0.05
         assert config.bundle_path is None
 
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(backend="btree"), "unknown retrieval backend"),
             (dict(shortlist=0), "shortlist"),
             (dict(ngram_size=0), "ngram_size"),
             (dict(num_buckets=0), "num_buckets"),
             (dict(max_df_ratio=0.0), "max_df_ratio"),
             (dict(max_df_ratio=1.5), "max_df_ratio"),
-            (dict(num_bands=0), "num_bands"),
-            (dict(band_bits=0), "band_bits"),
-            (dict(band_bits=25), "band_bits"),
-            (dict(probe_radius=3), "probe_radius"),
-            (dict(probe_radius=-1), "probe_radius"),
             (dict(bundle_path=7), "bundle_path"),
         ],
     )
@@ -163,12 +155,12 @@ class TestRetrievalConfig:
             RetrievalConfig(**kwargs)
 
     def test_dict_round_trip(self):
-        config = RetrievalConfig(backend="lsh", shortlist=64, probe_radius=2)
+        config = RetrievalConfig(shortlist=64, ngram_size=4, max_df_ratio=0.02)
         assert RetrievalConfig(**config.to_dict()) == config
 
     def test_linker_config_round_trip(self):
         config = LinkerConfig(
-            retrieval=RetrievalConfig(backend="lsh", shortlist=99),
+            retrieval=RetrievalConfig(shortlist=99, num_buckets=1024),
             candidate_generator="indexed",
         )
         restored = LinkerConfig.from_json(config.to_json())
@@ -177,7 +169,7 @@ class TestRetrievalConfig:
 
     def test_retrieval_section_must_be_typed(self):
         with pytest.raises(ValueError, match="retrieval"):
-            LinkerConfig(retrieval={"backend": "ngram"})
+            LinkerConfig(retrieval={"shortlist": 32})
 
 
 # ----------------------------------------------------------------------
@@ -205,15 +197,11 @@ class TestCandidatesEnv:
 
 
 # ----------------------------------------------------------------------
-# Shortlist backends
+# The n-gram shortlist index
 # ----------------------------------------------------------------------
 class TestShortlistBackends:
-    @pytest.mark.parametrize("backend", RETRIEVAL_BACKENDS)
-    def test_shortlist_shape_and_cap(self, kb, embedder, name_matrix, typo_surfaces, backend):
-        config = RetrievalConfig(backend=backend, shortlist=8)
-        index = build_retrieval_index(
-            kb, config, embedder=embedder, name_matrix=name_matrix
-        )
+    def test_shortlist_shape_and_cap(self, kb, typo_surfaces):
+        index = build_retrieval_index(kb, RetrievalConfig(shortlist=8))
         for surface in typo_surfaces[:10]:
             shortlist = index.query(surface)
             assert shortlist.dtype == np.int64
@@ -221,48 +209,41 @@ class TestShortlistBackends:
             assert len(np.unique(shortlist)) == len(shortlist)
             assert ((shortlist >= 0) & (shortlist < kb.num_nodes)).all()
 
-    @pytest.mark.parametrize("backend", RETRIEVAL_BACKENDS)
-    def test_build_is_deterministic(self, kb, embedder, name_matrix, typo_surfaces, backend):
-        config = RetrievalConfig(backend=backend)
-        first = build_retrieval_index(kb, config, embedder=embedder, name_matrix=name_matrix)
-        second = build_retrieval_index(kb, config, embedder=embedder, name_matrix=name_matrix)
+    def test_build_is_deterministic(self, kb, typo_surfaces):
+        first = build_retrieval_index(kb, RetrievalConfig())
+        second = build_retrieval_index(kb, RetrievalConfig())
         for surface in typo_surfaces[:10]:
             assert np.array_equal(first.query(surface), second.query(surface))
 
-    def test_lsh_requires_embedder(self, kb):
-        with pytest.raises(ValueError, match="embedder"):
-            build_retrieval_index(kb, RetrievalConfig(backend="lsh"))
-
     def test_ngram_garbage_surface_returns_empty(self, kb):
-        index = build_retrieval_index(kb, RetrievalConfig(backend="ngram"))
+        index = build_retrieval_index(kb, RetrievalConfig())
         assert index.query("zzqqxxjj").size == 0
 
-    def test_fingerprint_tracks_surfaces_and_config(self, kb, embedder):
-        base = retrieval_fingerprint(kb, RetrievalConfig(), embedder)
-        assert base == retrieval_fingerprint(kb, RetrievalConfig(), embedder)
+    def test_fingerprint_tracks_surfaces_and_config(self, kb):
+        base = retrieval_fingerprint(kb, RetrievalConfig())
+        assert base == retrieval_fingerprint(kb, RetrievalConfig())
+        assert base == build_retrieval_index(kb, RetrievalConfig()).fingerprint
         # bundle_path is where an index lives, not what it contains.
         moved = RetrievalConfig(bundle_path="/tmp/elsewhere")
-        assert base == retrieval_fingerprint(kb, moved, embedder)
-        other = retrieval_fingerprint(kb, RetrievalConfig(shortlist=7), embedder)
+        assert base == retrieval_fingerprint(kb, moved)
+        other = retrieval_fingerprint(kb, RetrievalConfig(shortlist=7))
         assert base != other
+        # A new entity surface changes what the index contains.
+        grown = kb.copy()
+        grown.add_node(kb.schema.node_types[0], "zzqq entity", aliases=("zzqq",))
+        assert base != retrieval_fingerprint(grown, RetrievalConfig())
 
 
 # ----------------------------------------------------------------------
 # The "indexed" generator vs the fuzzy oracle
 # ----------------------------------------------------------------------
 class TestIndexedGenerator:
-    @pytest.mark.parametrize("backend", RETRIEVAL_BACKENDS)
-    def test_exact_surfaces_identical_to_fuzzy(
-        self, kb, embedder, name_matrix, backend
-    ):
+    def test_exact_surfaces_identical_to_fuzzy(self, kb, embedder, name_matrix):
         oracle = FuzzyFallbackCandidateGenerator(
             kb, embedder=embedder, name_matrix=name_matrix
         )
         indexed = IndexedCandidateGenerator(
-            kb,
-            embedder=embedder,
-            name_matrix=name_matrix,
-            retrieval=RetrievalConfig(backend=backend),
+            kb, embedder=embedder, name_matrix=name_matrix
         )
         for node in range(0, kb.num_nodes, max(1, kb.num_nodes // 20)):
             surface = kb.node_name(node)
@@ -283,32 +264,14 @@ class TestIndexedGenerator:
             kb,
             embedder=embedder,
             name_matrix=name_matrix,
-            retrieval=RetrievalConfig(
-                backend="ngram", shortlist=kb.num_nodes, max_df_ratio=1.0
-            ),
+            retrieval=RetrievalConfig(shortlist=kb.num_nodes, max_df_ratio=1.0),
         )
         for surface in typo_surfaces:
             assert np.array_equal(
                 oracle.candidates_for(surface), indexed.candidates_for(surface)
             )
 
-    @pytest.mark.parametrize(
-        "retrieval",
-        [
-            # Stop-gramming off: max_df_ratio is tuned per KB scale and
-            # 5% of a tiny test KB is a handful of nodes.
-            RetrievalConfig(backend="ngram", max_df_ratio=1.0),
-            # Likewise shorter band keys + a wider probe for LSH: the
-            # oracle's top-20 on a 150-node KB reaches far down the
-            # cosine ranking, where default-width signatures rarely
-            # collide.
-            RetrievalConfig(backend="lsh", band_bits=8, num_bands=64, probe_radius=2),
-        ],
-        ids=["ngram", "lsh"],
-    )
-    def test_recall_on_typo_corpus(
-        self, kb, embedder, name_matrix, typo_surfaces, retrieval
-    ):
+    def test_recall_on_typo_corpus(self, kb, embedder, name_matrix, typo_surfaces):
         oracle = FuzzyFallbackCandidateGenerator(
             kb, embedder=embedder, name_matrix=name_matrix
         )
@@ -316,7 +279,9 @@ class TestIndexedGenerator:
             kb,
             embedder=embedder,
             name_matrix=name_matrix,
-            retrieval=retrieval,
+            # Stop-gramming off: max_df_ratio is tuned per KB scale and
+            # 5% of a tiny test KB is a handful of nodes.
+            retrieval=RetrievalConfig(max_df_ratio=1.0),
         )
         hits = total = 0
         for surface in typo_surfaces:
@@ -332,7 +297,7 @@ class TestIndexedGenerator:
             kb,
             embedder=embedder,
             name_matrix=name_matrix,
-            retrieval={"backend": "ngram", "shortlist": 32},
+            retrieval={"shortlist": 32},
         )
         assert gen.retrieval_config.shortlist == 32
 
@@ -354,28 +319,22 @@ class TestIndexedGenerator:
 # Packing into (and loading out of) bundles
 # ----------------------------------------------------------------------
 class TestPackedIndexes:
-    @pytest.mark.parametrize("backend", RETRIEVAL_BACKENDS)
-    def test_bundle_round_trip_is_bit_exact(
-        self, pipeline, embedder, typo_surfaces, tmp_path, backend
-    ):
+    def test_bundle_round_trip_is_bit_exact(self, pipeline, typo_surfaces, tmp_path):
         kb = pipeline.kb
-        config = RetrievalConfig(backend=backend)
-        built = build_retrieval_index(kb, config, embedder=pipeline.embedder)
-        directory = str(tmp_path / backend)
+        config = RetrievalConfig()
+        built = build_retrieval_index(kb, config)
+        directory = str(tmp_path / "bundle")
         manifest = pack_bundle(
             pipeline, directory, embeddings=False, retrieval_index=built
         )
         entry = manifest["retrieval"]
-        assert entry["backend"] == backend
+        assert entry["backend"] == "ngram"
         assert int(entry["fingerprint"]) == built.fingerprint
         for meta in entry["arrays"].values():
             assert set(meta) == {"shape", "dtype", "crc"}
 
         loaded = load_packed_index(
-            directory,
-            config,
-            expected_fingerprint=built.fingerprint,
-            embedder=pipeline.embedder,
+            directory, config, expected_fingerprint=built.fingerprint
         )
         assert loaded is not None
         for name, array in built.arrays().items():
@@ -386,27 +345,19 @@ class TestPackedIndexes:
     def test_stale_or_missing_loads_as_none(self, pipeline, tmp_path):
         kb = pipeline.kb
         config = RetrievalConfig()
-        built = build_retrieval_index(kb, config, embedder=pipeline.embedder)
+        built = build_retrieval_index(kb, config)
         empty = str(tmp_path / "empty")
         assert load_packed_index(empty, config, built.fingerprint) is None
 
         directory = str(tmp_path / "bundle")
         pack_bundle(pipeline, directory, embeddings=False, retrieval_index=built)
-        # Fingerprint mismatch means stale; backend mismatch means "not
-        # the index you asked for" — both are rebuild signals, not errors.
+        # A fingerprint mismatch means stale: a rebuild signal, not an error.
         assert load_packed_index(directory, config, built.fingerprint ^ 1) is None
-        lsh = RetrievalConfig(backend="lsh")
-        assert (
-            load_packed_index(
-                directory, lsh, built.fingerprint, embedder=pipeline.embedder
-            )
-            is None
-        )
 
     def test_corrupt_arrays_raise_storage_error(self, pipeline, tmp_path):
         kb = pipeline.kb
         config = RetrievalConfig()
-        built = build_retrieval_index(kb, config, embedder=pipeline.embedder)
+        built = build_retrieval_index(kb, config)
         directory = str(tmp_path / "bundle")
         pack_bundle(pipeline, directory, embeddings=False, retrieval_index=built)
         target = str(tmp_path / "bundle" / "retrieval_postings.npy")
@@ -418,7 +369,7 @@ class TestPackedIndexes:
     def test_mis_shaped_array_raises_storage_error(self, pipeline, tmp_path):
         kb = pipeline.kb
         config = RetrievalConfig()
-        built = build_retrieval_index(kb, config, embedder=pipeline.embedder)
+        built = build_retrieval_index(kb, config)
         directory = str(tmp_path / "bundle")
         pack_bundle(pipeline, directory, embeddings=False, retrieval_index=built)
         target = str(tmp_path / "bundle" / "retrieval_norms.npy")
@@ -446,11 +397,16 @@ class TestPackedIndexes:
             assert np.array_equal(
                 first.candidates_for(surface), second.candidates_for(surface)
             )
+        # A different config fails the packed copy's fingerprint: rebuilt
+        # and repacked, then mapped on the next start.
+        narrow = RetrievalConfig(shortlist=7, bundle_path=directory)
+        stale = IndexedCandidateGenerator(kb, embedder=pipeline.embedder, retrieval=narrow)
+        assert stale.repacked is True
+        again = IndexedCandidateGenerator(kb, embedder=pipeline.embedder, retrieval=narrow)
+        assert again.repacked is False
 
     def test_repack_needs_an_existing_bundle(self, pipeline, tmp_path):
-        built = build_retrieval_index(
-            pipeline.kb, RetrievalConfig(), embedder=pipeline.embedder
-        )
+        built = build_retrieval_index(pipeline.kb, RetrievalConfig())
         assert repack_index(str(tmp_path / "nowhere"), built) is False
 
 
@@ -494,13 +450,11 @@ class TestCandidateTelemetry:
 
 class TestServingParity:
     def test_top1_predictions_match_fuzzy(self, dataset, pipeline):
-        """When the shortlist covers the oracle's survivors, the indexed
-        generator feeds the ranker the same candidate set — top-1
+        """When the shortlist holds every row the oracle edit-filters, the
+        indexed generator feeds the ranker the same candidate set — top-1
         predictions must be unchanged."""
         linker = Linker(pipeline)
-        retrieval = RetrievalConfig(
-            backend="ngram", shortlist=pipeline.kb.num_nodes, max_df_ratio=1.0
-        )
+        retrieval = RetrievalConfig(shortlist=pipeline.kb.num_nodes, max_df_ratio=1.0)
         snippets = dataset.test[:10] or dataset.train[:10]
 
         linker.use_candidate_generator("fuzzy")

@@ -278,6 +278,41 @@ class TestStats:
             if hasattr(value, "__len__")
         )
 
+    def test_default_payload_keys_and_series_are_pinned(self):
+        # /stats JSON keys and Prometheus series are an interface:
+        # renaming or dropping one must be a deliberate change.
+        stats = ServiceStats()
+        assert set(stats.to_dict()) == {
+            "requests", "mentions", "cache_hits", "cache_misses",
+            "cache_hit_rate", "batches", "mean_batch_size", "max_batch_size",
+            "ref_refreshes", "compute_seconds", "mentions_per_second",
+            "storage_backend", "publishes", "publish_ms",
+            "candidate_generator", "candidate_lookups", "candidate_index_hits",
+            "candidate_fallbacks", "candidate_seconds", "admitted", "shed",
+            "shed_rate",
+        }
+        series = {
+            line.split()[2]
+            for line in stats.to_prometheus().splitlines()
+            if line.startswith("# TYPE ")
+        }
+        assert series == {
+            f"repro_{name}"
+            for name in (
+                "requests_total", "mentions_total", "cache_hits_total",
+                "cache_misses_total", "batches_total", "ref_refreshes_total",
+                "compute_seconds_total", "storage_publishes_total",
+                "storage_publish_seconds_total", "candidates_lookups_total",
+                "candidates_seconds_total", "candidates_index_hits_total",
+                "candidates_fallbacks_total", "admission_admitted_total",
+                "admission_shed_total", "shard_score_calls_total",
+                "shard_score_seconds_total", "cache_hit_rate",
+                "admission_shed_rate", "mean_batch_size", "mentions_per_second",
+                "request_latency_ms", "queue_wait_ms", "candidates_stage_ms",
+                "storage_info", "candidates_info",
+            )
+        }
+
     def test_hit_rate(self, pipeline, dataset):
         service = LinkingService(pipeline, ServiceConfig(cache_size=512))
         service.link_batch(dataset.test[:4])

@@ -167,23 +167,6 @@ class TestShardedKB:
             assert np.array_equal(expected, sharded.score_candidates(qg, candidates))
         sharded.close()
 
-    def test_score_candidates_ref_override(self, pipeline, dataset):
-        # A shard scored through the staged pipeline API (local ids +
-        # shard-local ref rows) matches the full-KB call.
-        sharded = ShardedKB(pipeline, 2)
-        shard = sharded.shards[1]
-        qg = pipeline.build_query_graph_for(dataset.test[0])
-        some_globals = shard.node_ids[:5]
-        expected = pipeline.score_candidates(qg, some_globals)
-        local = some_globals // 2
-        actual = pipeline.score_candidates(
-            qg, local, ref_embeddings=shard.h_ref, ref_features=shard.x_ref
-        )
-        assert np.array_equal(expected, actual)
-        with pytest.raises(ValueError):
-            pipeline.score_candidates(qg, local, ref_embeddings=shard.h_ref)
-        sharded.close()
-
     def test_distribute_refreshes_embeddings(self, pipeline):
         sharded = ShardedKB(pipeline, 2)
         fresh = pipeline.ref_embeddings() + 1.0
