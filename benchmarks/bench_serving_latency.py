@@ -2,9 +2,9 @@
 
 Trains one small ED-GNN, measures the synchronous batched service's
 capacity on a request stream, then replays the same stream through
-:class:`repro.serving.AsyncLinkingService` (KB sharding on) with
-arrivals paced at ~half the measured capacity — so the deadline policy,
-not queueing overload, dominates what the scheduler does.  Reports:
+:class:`repro.serving.AsyncLinkingService` with arrivals paced at ~half
+the measured capacity — so the deadline policy, not queueing overload,
+dominates what the scheduler does.  Reports:
 
 * p50/p95 end-to-end latency (submit -> result) and p95 queue wait
   (submit -> micro-batch formed) of the async path;
@@ -23,8 +23,8 @@ the scheduler promises a partial batch is flushed once the oldest
 request's budget is up, so a fixed-size stall shows up here immediately.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving_latency.py
-      [--smoke] [--batch-size 32] [--deadline-ms 250] [--shards 2]
-      [--requests 192] [--report BENCH_serving.json]
+      [--smoke] [--batch-size 32] [--deadline-ms 250] [--requests 192]
+      [--report BENCH_serving.json]
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def run(args: argparse.Namespace) -> int:
     print(
         f"KB {dataset.kb.num_nodes} nodes / {dataset.kb.num_edges} edges, "
         f"{len(stream)} requests, batch={args.batch_size}, "
-        f"deadline={args.deadline_ms:.0f}ms, shards={args.shards}"
+        f"deadline={args.deadline_ms:.0f}ms"
     )
 
     pipeline.ref_embeddings()  # warm the KB-embedding cache for all paths
@@ -78,10 +78,7 @@ def run(args: argparse.Namespace) -> int:
     # Async replay, arrivals paced at ~half capacity.
     inter_arrival = 2.0 / capacity if capacity > 0 else 0.0
     service = linker.serve(
-        max_batch_size=args.batch_size,
-        cache_size=0,
-        top_k=args.top_k,
-        shards=args.shards,
+        max_batch_size=args.batch_size, cache_size=0, top_k=args.top_k
     )
     with AsyncLinkingService(service, deadline_ms=args.deadline_ms) as async_service:
         t0 = time.perf_counter()
@@ -151,7 +148,6 @@ def run(args: argparse.Namespace) -> int:
             "variant": args.variant,
             "batch_size": args.batch_size,
             "deadline_ms": args.deadline_ms,
-            "shards": args.shards,
             "requests": len(stream),
             "sync_mentions_per_s": round(len(stream) / t_sync, 1),
             "async_mentions_per_s": round(len(stream) / t_async, 1),
@@ -190,7 +186,6 @@ def main() -> int:
     parser.add_argument("--variant", default="graphsage")
     parser.add_argument("--batch-size", type=int, default=32)
     parser.add_argument("--deadline-ms", type=float, default=250.0)
-    parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--requests", type=int, default=192)
     parser.add_argument("--top-k", type=int, default=5)
     parser.add_argument(

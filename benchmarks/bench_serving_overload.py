@@ -17,8 +17,8 @@ unbounded queue turns every request into a timeout.  Two legs:
   ``EDPipeline.disambiguate_snippet`` baseline.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving_overload.py
-      [--smoke] [--batch-size 32] [--deadline-ms 50] [--shards 1]
-      [--max-queue 64] [--report BENCH_serving.json]
+      [--smoke] [--batch-size 32] [--deadline-ms 50] [--max-queue 64]
+      [--report BENCH_serving.json]
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ def run(args: argparse.Namespace) -> int:
 
     def make_service(admission):
         service = linker.serve(
-            max_batch_size=args.batch_size, cache_size=0,
-            top_k=args.top_k, shards=args.shards,
+            max_batch_size=args.batch_size, cache_size=0, top_k=args.top_k
         )
         return AsyncLinkingService(
             service, deadline_ms=args.deadline_ms, admission=admission
@@ -196,7 +195,6 @@ def main() -> int:
     parser.add_argument("--variant", default="graphsage")
     parser.add_argument("--batch-size", type=int, default=32)
     parser.add_argument("--deadline-ms", type=float, default=50.0)
-    parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--max-queue", type=int, default=64)
     parser.add_argument("--top-k", type=int, default=5)
     parser.add_argument(

@@ -9,23 +9,11 @@ Trains one small ED-GNN, then links the same request stream three ways:
 * **batched+cache** — a warm second pass over the same stream, showing
   the LRU result cache.
 
-A fourth, **sharded** leg runs a full-KB rerank stream
-(``restrict_to_candidates=False`` — the workload with the most scoring
-work per shard) through the unsharded service and through ``--shards``
-thread shards, interleaving their passes and keeping each side's
-fastest.  It records both rates and their ratio but enforces no floor:
-on a 2-core host, thread shards measured 3-22% ahead of one shard on the
-NCBI and MDX corpora of ``perfbench/`` (inside that host's run-to-run
-swing) and behind it on this bench's 225-entity KB, where the fan-out
-costs more than the little scoring it splits.
-
-Also asserts batch-vs-sequential ranking equivalence on the stream, and
-unsharded-vs-sharded equivalence on the sharded leg, so a serving
-regression fails the bench rather than silently skewing numbers.
+Also asserts batch-vs-sequential ranking equivalence on the stream, so a
+serving regression fails the bench rather than silently skewing numbers.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving_throughput.py
       [--smoke] [--variant graphsage] [--batch-size 32] [--requests 256]
-      [--shards 4]
 
 ``--smoke`` shrinks everything for CI and only asserts equivalence plus
 a loose speedup floor.
@@ -34,7 +22,6 @@ a loose speedup floor.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -42,36 +29,6 @@ from _shared import serving_speedup_floor, update_bench_report
 from repro.api import Linker, LinkerConfig
 from repro.core import ModelConfig, TrainConfig
 from repro.datasets import load_dataset
-
-
-def _time_sharded(linker, stream, shards, batch_size, passes=3):
-    """Fastest of ``passes`` interleaved passes over the full-KB rerank
-    stream, unsharded and on ``shards`` thread shards.
-
-    Returns ``{num_shards: (seconds, rankings)}`` for 1 and ``shards`` —
-    a warm-up pass per service starts the shard threads and fills the
-    surface-embedding memo, so the timed passes measure steady-state
-    scoring, and interleaving exposes both sides to the same host drift.
-    """
-    services = {
-        n: linker.serve(max_batch_size=batch_size, cache_size=0, shards=n)
-        for n in (1, shards)
-    }
-    best = {n: float("inf") for n in services}
-    rankings = {}
-    try:
-        for service in services.values():
-            service.link_batch(stream[:batch_size], restrict_to_candidates=False)
-        for _ in range(passes):
-            for n, service in services.items():
-                t0 = time.perf_counter()
-                predictions = service.link_batch(stream, restrict_to_candidates=False)
-                best[n] = min(best[n], time.perf_counter() - t0)
-                rankings[n] = [p.ranked_entities for p in predictions]
-    finally:
-        for service in services.values():
-            service.close()
-    return {n: (best[n], rankings[n]) for n in services}
 
 
 def run(args: argparse.Namespace) -> int:
@@ -117,25 +74,9 @@ def run(args: argparse.Namespace) -> int:
     speedup = t_seq / t_batch if t_batch > 0 else float("inf")
     cached_speedup = t_seq / t_cached if t_cached > 0 else float("inf")
 
-    # Sharded leg: one shard vs --shards thread shards on the full-KB
-    # rerank stream (the workload where per-shard scoring is heaviest).
-    shard_stream = stream[: max(args.batch_size, len(stream) // 2)]
-    sharded = _time_sharded(linker, shard_stream, args.shards, args.batch_size)
-    t_single, single_rankings = sharded[1]
-    t_sharded, sharded_rankings = sharded[args.shards]
-    shard_mismatches = sum(a != b for a, b in zip(single_rankings, sharded_rankings))
-    shard_speedup = t_single / t_sharded if t_sharded > 0 else float("inf")
-    cpus = os.cpu_count() or 1
-
     print(f"sequential     {len(stream) / t_seq:8.0f} mentions/s  ({t_seq:.3f}s)")
     print(f"batched        {len(stream) / t_batch:8.0f} mentions/s  ({t_batch:.3f}s)  {speedup:.2f}x")
     print(f"batched+cache  {len(stream) / t_cached:8.0f} mentions/s  ({t_cached:.3f}s)  {cached_speedup:.2f}x")
-    print(f"full-KB rerank ({len(shard_stream)} requests, {cpus} cpus, fastest of 3 passes):")
-    print(f"  1 shard      {len(shard_stream) / t_single:8.0f} mentions/s  ({t_single:.3f}s)")
-    print(
-        f"  {args.shards} threads    {len(shard_stream) / t_sharded:8.0f} mentions/s  "
-        f"({t_sharded:.3f}s)  {shard_speedup:.2f}x vs 1 shard (recorded, no floor)"
-    )
     print(f"equivalence    {len(stream) - mismatches}/{len(stream)} rankings identical")
     print(cached_service.stats.format())
 
@@ -155,23 +96,10 @@ def run(args: argparse.Namespace) -> int:
             "cached_speedup": round(cached_speedup, 2),
             "speedup_floor": floor,
             "ranking_mismatches": mismatches,
-            "shards": args.shards,
-            "cpus": cpus,
-            "sharded_requests": len(shard_stream),
-            "unsharded_mentions_per_s": round(len(shard_stream) / t_single, 1),
-            "sharded_thread_mentions_per_s": round(len(shard_stream) / t_sharded, 1),
-            "shard_speedup": round(shard_speedup, 2),
-            "shard_ranking_mismatches": shard_mismatches,
         },
     )
     if mismatches:
         print(f"FAIL: {mismatches} batched rankings differ from sequential")
-        return 1
-    if shard_mismatches:
-        print(
-            f"FAIL: {shard_mismatches} thread-shard rankings differ "
-            "from the unsharded service"
-        )
         return 1
     if speedup < floor:
         print(f"FAIL: batched speedup {speedup:.2f}x below the {floor}x floor")
@@ -187,12 +115,6 @@ def main() -> int:
     parser.add_argument("--batch-size", type=int, default=32)
     parser.add_argument("--requests", type=int, default=256)
     parser.add_argument("--top-k", type=int, default=5)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="thread-shard count compared against one shard",
-    )
     parser.add_argument(
         "--report", default=None, help="merge results into this JSON report file"
     )

@@ -5,9 +5,8 @@ Builds a small ED-GNN from a declarative :class:`repro.api.LinkerConfig`
 the batched :class:`repro.serving.LinkingService`, replays it to show
 the LRU result cache, saves a self-describing checkpoint, then serves
 the same stream through the deadline-aware
-:class:`repro.serving.AsyncLinkingService` with the KB split into
-**thread shards** (``shards=2`` — bit-identical scores) and prints
-latency percentiles alongside the service stats.
+:class:`repro.serving.AsyncLinkingService` and prints latency
+percentiles alongside the service stats.
 
 A final pair of sections packs the KB into an mmap bundle
 (:func:`repro.storage.pack_bundle`) and serves from it with
@@ -22,11 +21,10 @@ The same paths are reachable from the CLI:
 
     repro config dump --variant graphsage > linker.json
     repro train --dataset NCBI --config linker.json --out CKPT
-    repro serve --checkpoint CKPT --async --shards 2 --deadline-ms 25
+    repro serve --checkpoint CKPT --async --deadline-ms 25
     cat snippets.jsonl | repro serve --checkpoint CKPT --input - --async
     repro kb pack --checkpoint CKPT --out BUNDLE --with-index
-    repro serve --checkpoint CKPT --kb-bundle BUNDLE --shards 2 \
-        --candidates indexed
+    repro serve --checkpoint CKPT --kb-bundle BUNDLE --candidates indexed
 
 Run:  PYTHONPATH=src python examples/serving_quickstart.py
 """
@@ -109,12 +107,8 @@ def main() -> None:
     # 7. Async serving: requests go onto a queue; micro-batches form when
     #    full OR when the oldest request's deadline budget is up, so a
     #    trickle of traffic is never stalled behind a fixed batch size.
-    #    shards=2 partitions the KB (and its embedding cache) by id and
-    #    scores each micro-batch's candidates on a thread per shard.
     #    Predictions stay identical to the sequential pipeline.
-    with linker.serve(
-        async_=True, shards=2, deadline_ms=25.0, cache_size=0,
-    ) as async_service:
+    with linker.serve(async_=True, deadline_ms=25.0, cache_size=0) as async_service:
         futures = [async_service.submit(snippet) for snippet in dataset.test]
         async_predictions = [f.result() for f in futures]
         assert [p.ranked_entities for p in async_predictions] == [
@@ -122,7 +116,7 @@ def main() -> None:
         ]
         stats = async_service.stats
         print(
-            f"\nasync + 2 thread shards: {len(async_predictions)} mentions, "
+            f"\nasync: {len(async_predictions)} mentions, "
             f"p50 {stats.latency_percentile(50):.1f}ms / "
             f"p95 {stats.latency_percentile(95):.1f}ms latency, "
             f"p95 queue wait {stats.queue_wait_percentile(95):.1f}ms"
@@ -133,13 +127,11 @@ def main() -> None:
     #    fingerprinted manifest.  Serving from the bundle with
     #    kb_store="mmap" memory-maps both matrices read-only — startup
     #    skips the KB embedding forward entirely, and every serving
-    #    process on the host shares one page-cached copy.  The thread
-    #    shards slice their rows out of the mapped matrices.  Rankings
-    #    stay bit-identical to every other configuration.
+    #    process on the host shares one page-cached copy.  Rankings stay
+    #    bit-identical to every other configuration.
     with tempfile.TemporaryDirectory() as bundle:
         pack_bundle(linker.pipeline, bundle)
         mmap_service = linker.serve(
-            shards=2,
             cache_size=0,
             storage=StorageConfig(kb_store="mmap", bundle_path=bundle),
         )
@@ -150,8 +142,7 @@ def main() -> None:
             ]
             snapshot = mmap_service.stats.to_dict()
             print(
-                f"\nmmap bundle + 2 thread shards: "
-                f"{len(mmap_predictions)} mentions re-linked identically "
+                f"\nmmap bundle: {len(mmap_predictions)} mentions re-linked identically "
                 f"(backend={snapshot['storage_backend']})"
             )
         finally:

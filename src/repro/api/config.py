@@ -9,9 +9,8 @@ components (candidate generator, NER, embedder — see
 (:class:`~repro.retrieval.RetrievalConfig`) shapes the sublinear
 n-gram shortlist index the ``"indexed"`` candidate generator uses; the
 generator name itself defaults from ``REPRO_CANDIDATES``.  The service
-section covers the full serving surface, KB sharding included
-(``ServiceConfig(num_shards=4)`` declares a service scoring on four
-thread shards) as well as the HTTP front door
+section covers the full serving surface: batching, caching, storage,
+admission, and the HTTP front door
 (``ServiceConfig(http=HttpConfig(port=8080))`` declares the server
 ``Linker.serve(http_port=...)`` starts).  ``to_json``/``from_json`` round-trip
 exactly, the payload is schema-versioned, and parsing is strict: unknown
@@ -43,12 +42,13 @@ from .registry import CANDIDATE_GENERATORS, EMBEDDERS, ENCODERS, NERS
 __all__ = ["LinkerConfig", "CONFIG_SCHEMA_VERSION"]
 
 #: bump when the JSON layout changes incompatibly
-CONFIG_SCHEMA_VERSION = 3
+CONFIG_SCHEMA_VERSION = 4
 
 #: keys of each earlier schema version that the next version removed:
 #: version 2 dropped the process shard backend and its shared-memory
 #: payloads, version 3 the LSH retrieval backend and the adaptive
-#: admission tuner
+#: admission tuner, version 4 the thread shards and the ``.npz``
+#: reference-embedding cache
 _REMOVED_KEYS = {
     1: (
         "service.shard_backend",
@@ -67,6 +67,10 @@ _REMOVED_KEYS = {
         "service.admission.min_deadline_ms",
         "service.admission.max_deadline_ms",
         "service.admission.min_batch_size",
+    ),
+    3: (
+        "service.num_shards",
+        "service.ref_cache_path",
     ),
 }
 

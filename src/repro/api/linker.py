@@ -11,7 +11,7 @@ frontends:
     linker = Linker.from_config(cfg, kb)
     linker.fit(train, val, test)
     linker.save("ckpt/")                      # later: Linker.load("ckpt/")
-    service = linker.serve(shards=4)          # LinkingService
+    service = linker.serve()                  # LinkingService
     async_service = linker.serve(async_=True) # AsyncLinkingService
 
 Everything the facade produces is bit-identical to driving
@@ -254,7 +254,6 @@ class Linker:
     def serve(
         self,
         async_: bool = False,
-        shards: Optional[int] = None,
         storage=None,
         admission=None,
         deadline_ms: Optional[float] = None,
@@ -265,13 +264,12 @@ class Linker:
         """A ready serving frontend over this linker.
 
         Returns a :class:`~repro.serving.LinkingService` built from the
-        config's service section (``shards`` and any
-        :class:`~repro.serving.ServiceConfig` field overriding it), or —
-        with ``async_=True`` — an :class:`~repro.serving.AsyncLinkingService`
-        wrapping one, which flushes a micro-batch once it is full or its
-        oldest request has waited ``deadline_ms`` (default 25 ms).
-        ``linker.serve(shards=4)`` fans candidate scoring out across four
-        KB shards on threads.
+        config's service section (any
+        :class:`~repro.serving.ServiceConfig` field overriding it, e.g.
+        ``linker.serve(cache_size=0)``), or — with ``async_=True`` — an
+        :class:`~repro.serving.AsyncLinkingService` wrapping one, which
+        flushes a micro-batch once it is full or its oldest request has
+        waited ``deadline_ms`` (default 25 ms).
 
         ``storage`` picks where the KB matrices live
         (:class:`~repro.storage.StorageConfig`, its dict form, or just a
@@ -287,8 +285,8 @@ class Linker:
         admission="depth")`` bounds the queue and sheds the overflow as
         429s, ``admission=AdmissionConfig(shed_policy="wait")`` also
         sheds arrivals whose estimated queue wait exceeds the budget.
-        The config's ``service.admission`` section (default shed policy
-        from ``$REPRO_ADMISSION``) applies when omitted.
+        The config's ``service.admission`` section (by default no
+        shedding) applies when omitted.
 
         ``http_port`` turns the frontend into a *started*
         :class:`~repro.serving.LinkingHTTPServer` over the async service
@@ -307,8 +305,6 @@ class Linker:
         from ..serving import AsyncLinkingService, HttpConfig, LinkingHTTPServer, LinkingService
 
         service_config = self._config.service
-        if shards is not None:
-            overrides["num_shards"] = shards
         if storage is not None:
             from ..storage import StorageConfig
 

@@ -25,11 +25,11 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 class _GradMode(threading.local):
     """Per-thread tape-recording switch.
 
-    The serving layer's shard workers enter inference mode concurrently;
-    a process-global flag would race on the save/restore in ``no_grad``
-    and could leave recording off (or on) for unrelated threads.  The
-    class attribute is the per-thread default: every new thread starts
-    with recording enabled.
+    The async scheduler's worker thread enters inference mode while
+    other threads score or train; a process-global flag would race on
+    the save/restore in ``no_grad`` and could leave recording off (or
+    on) for unrelated threads.  The class attribute is the per-thread
+    default: every new thread starts with recording enabled.
     """
 
     enabled = True

@@ -236,7 +236,10 @@ def _prediction_payload(linker, prediction) -> dict:
 
 def _cmd_link(args: argparse.Namespace) -> int:
     linker = _load_checkpoint(args.checkpoint)
-    prediction = linker.disambiguate(args.text, args.mention, top_k=args.top_k)
+    try:
+        prediction = linker.disambiguate(args.text, args.mention, top_k=args.top_k)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if args.json:
         print(json.dumps(_prediction_payload(linker, prediction)))
         return 0
@@ -302,10 +305,9 @@ def _http_wait(server) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Batched linking over a text file / snippet corpus / dataset split /
     stdin stream, through the :mod:`repro.serving` service.  ``--async``
-    routes requests through the deadline scheduler, ``--shards`` fans
-    candidate scoring across KB shards, and ``--http PORT`` serves the
-    network front door instead of reading local input; surfaces
-    ServiceStats."""
+    routes requests through the deadline scheduler, and ``--http PORT``
+    serves the network front door instead of reading local input;
+    surfaces ServiceStats."""
     from repro.serving import AsyncLinkingService
 
     linker = _load_checkpoint(args.checkpoint)
@@ -334,28 +336,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             storage = StorageConfig(kb_store=kb_store, bundle_path=args.kb_bundle)
         admission = None
         if args.shed_policy is not None or args.max_queue is not None:
-            from dataclasses import replace
-
             from repro.serving import AdmissionConfig
 
-            # Start from the env-default config ($REPRO_ADMISSION) so
-            # flags layer on top of it instead of silently clobbering it.
-            overrides = {}
-            if args.shed_policy is not None:
-                overrides["shed_policy"] = args.shed_policy
-            elif AdmissionConfig().shed_policy == "none":
-                # --max-queue without an explicit policy (or env default)
-                # means "bound the queue by depth".
-                overrides["shed_policy"] = "depth"
+            # --max-queue without an explicit policy means "bound the
+            # queue by depth".
+            fields = {"shed_policy": args.shed_policy or "depth"}
             if args.max_queue is not None:
-                overrides["max_queue"] = args.max_queue
-            admission = replace(AdmissionConfig(), **overrides)
+                fields["max_queue"] = args.max_queue
+            admission = AdmissionConfig(**fields)
         service = linker.serve(
             max_batch_size=args.batch_size,
             cache_size=args.cache_size,
             top_k=args.top_k,
-            ref_cache_path=args.ref_cache,
-            shards=args.shards,
             storage=storage,
             admission=admission,
         )
@@ -761,7 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None, help="cap the number of snippets")
     p.add_argument("--batch-size", type=int, default=32, help="micro-batch size")
     p.add_argument("--cache-size", type=int, default=2048, help="LRU entries; 0 disables")
-    p.add_argument("--ref-cache", default=None, help="persist KB embeddings to this .npz")
     p.add_argument("--top-k", type=int, default=5)
     p.add_argument(
         "--async",
@@ -774,13 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=25.0,
         help="latency budget before a partial micro-batch is flushed (--async)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the KB into N shards and fan candidate scoring out "
-        "on threads",
     )
     p.add_argument(
         "--candidates",
@@ -820,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["none", "depth", "wait"],
         help="admission control: shed overflow by queue depth or by "
         "estimated queue wait (429 + Retry-After over --http; "
-        "REPRO_ADMISSION sets the default)",
+        "default: none)",
     )
     p.add_argument(
         "--max-queue",

@@ -37,6 +37,14 @@ class Prediction:
         return self.ranked_entities[0]
 
 
+def check_top_k(top_k: int) -> int:
+    """``top_k`` if it asks for at least one ranked entity; a cut below
+    1 would slice the ranking from the end (or empty it), so it raises."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    return top_k
+
+
 class EDPipeline:
     """Text snippet -> query graph -> Siamese GNN -> ranked KB entities.
 
@@ -265,6 +273,7 @@ class EDPipeline:
         top_k: int = 5,
         restrict_to_candidates: bool = True,
     ) -> Prediction:
+        check_top_k(top_k)
         qg = self.build_query_graph_for(snippet)
         candidate_ids = self.candidate_ids(
             qg.mention_surface,

@@ -2,18 +2,16 @@
 
 Wraps a fitted :class:`~repro.core.pipeline.EDPipeline` behind
 :class:`LinkingService`, which serves ``link_batch(snippets)`` and
-``link_texts(texts)`` with a persisted reference-embedding cache, a
+``link_texts(texts)`` with a fingerprinted reference-embedding cache, a
 micro-batch scheduler over disjoint-union forwards, an LRU result cache,
-and :class:`ServiceStats` telemetry.  On top of it,
+and :class:`ServiceStats` telemetry.  Every ranking is scored by
+``model.score_pairs`` against the service's ``h_ref``/``x_ref`` and is
+bit-identical to ``EDPipeline.disambiguate_snippet``.  On top of it,
 :class:`AsyncLinkingService` (``scheduler``) accepts requests onto a
-queue and forms micro-batches under a latency deadline, and
-:class:`ShardedKB` (``sharding``) partitions the KB and its embedding
-cache for candidate scoring fanned out on threads
-(``ServiceConfig(num_shards=N)``); results are bit-identical to the
-unsharded service.  Where the KB matrices live is a separate axis —
-``ServiceConfig``'s ``storage`` section
-(:class:`~repro.storage.StorageConfig`) picks the in-RAM or mmap-bundle
-backend.
+queue and forms micro-batches under a latency deadline.  Where the KB
+matrices live is a separate axis — ``ServiceConfig``'s ``storage``
+section (:class:`~repro.storage.StorageConfig`) picks the in-RAM or
+mmap-bundle backend; the bundle is the one place ``h_ref`` is persisted.
 
 The network front door is :class:`LinkingHTTPServer` (``http``): an
 asyncio + stdlib HTTP server over the async service speaking the typed,
@@ -23,11 +21,11 @@ schema-versioned wire format of ``wire`` (:class:`LinkRequest`,
 
 Overload protection is the ``admission`` module:
 :class:`AdmissionConfig` (the ``admission`` section of
-:class:`ServiceConfig`; default shed policy from ``$REPRO_ADMISSION``)
-bounds the scheduler's queue with priority classes and sheds the
-overflow as structured 429s with ``Retry-After``
-(:class:`AdmissionError` / :class:`LinkerOverloadedError`), by queue
-depth or by estimated queue wait.  The scheduler's ``deadline_ms`` and
+:class:`ServiceConfig`; no shedding by default) bounds the scheduler's
+queue with priority classes and sheds the overflow as structured 429s
+with ``Retry-After`` (:class:`AdmissionError` /
+:class:`LinkerOverloadedError`), by queue depth or by estimated queue
+wait.  The scheduler's ``deadline_ms`` and
 ``max_batch_size`` are fixed for the life of the service.
 See ``examples/serving_quickstart.py``, ``examples/http_quickstart.py``
 and the ``repro serve`` CLI command (``repro serve --http PORT``).
@@ -50,7 +48,6 @@ from .client import (  # noqa: F401
 from .http import LinkingHTTPServer  # noqa: F401
 from .scheduler import AsyncLinkingService, DeadlineBatcher, QueuedRequest  # noqa: F401
 from .service import HttpConfig, LinkingService, ServiceConfig  # noqa: F401
-from .sharding import KBShard, ShardedKB  # noqa: F401
 from .stats import ServiceStats  # noqa: F401
 from .wire import (  # noqa: F401
     WIRE_SCHEMA_VERSION,
@@ -72,8 +69,6 @@ __all__ = [
     "AsyncLinkingService",
     "DeadlineBatcher",
     "QueuedRequest",
-    "ShardedKB",
-    "KBShard",
     "LinkingHTTPServer",
     "LinkerClient",
     "LinkerClientError",

@@ -14,8 +14,7 @@ so every decision is unit-testable with a fake clock):
 * :class:`AdmissionConfig` — the declarative policy object.  A strict
   frozen section of :class:`~repro.serving.service.ServiceConfig`, so a
   :class:`~repro.api.LinkerConfig` JSON declares overload behaviour the
-  same way it declares sharding or storage; the ``REPRO_ADMISSION``
-  environment variable supplies the default shed policy.
+  same way it declares storage; the default policy sheds nothing.
 * :class:`AdmissionController` — the gate in front of the batcher queue.
   Sheds by queue depth and, under ``shed_policy="wait"``, by estimated
   queue wait (depth x an EWMA of observed per-request drain cost).
@@ -26,8 +25,7 @@ so every decision is unit-testable with a fake clock):
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "DEFAULT_PRIORITY",
     "SHED_POLICIES",
     "PRIORITY_HEADROOM",
-    "default_shed_policy",
     "AdmissionConfig",
     "AdmissionError",
     "AdmissionController",
@@ -60,11 +57,6 @@ PRIORITY_HEADROOM = {"high": 1.0, "normal": 0.8, "low": 0.5}
 EWMA_ALPHA = 0.2
 
 
-def default_shed_policy() -> str:
-    """Shed policy from ``REPRO_ADMISSION`` (default: ``"none"``)."""
-    return os.environ.get("REPRO_ADMISSION", "none")
-
-
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Overload policy of the async serving stack.
@@ -75,8 +67,7 @@ class AdmissionConfig:
     other config section (unknown keys and values are rejected).
     """
 
-    # Shedding policy (see SHED_POLICIES); defaults to $REPRO_ADMISSION.
-    shed_policy: str = field(default_factory=default_shed_policy)
+    shed_policy: str = "none"  # see SHED_POLICIES
     max_queue: int = 256  # queued-request bound for the depth check
     # Estimated-wait budget for shed_policy="wait"; 0 inherits the
     # scheduler's deadline_ms (the latency contract already in force).

@@ -17,13 +17,11 @@ condition variable whose wait timeout is the oldest pending deadline.
 
 Results are the same ``Prediction`` objects the sequential
 ``EDPipeline.disambiguate_snippet`` produces (the equivalence contract of
-the serving layer): compute is delegated to a ``LinkingService``, which
-may itself fan candidate scoring out across the threads of a
-:class:`~repro.serving.sharding.ShardedKB`.  ``close()`` joins the batch
-worker before closing the service, so the shard threads only shut down
-once every queued request has been served.  A request that makes its
-micro-batch fail fails alone: the worker re-runs each half of a failed
-batch until the failing requests are isolated.
+the serving layer): compute is delegated to a ``LinkingService``.
+``close()`` joins the batch worker before closing the service, so its
+storage is only released once every queued request has been served.  A
+request that makes its micro-batch fail fails alone: the worker re-runs
+each half of a failed batch until the failing requests are isolated.
 
 Request latency (submit -> result) and queue wait (submit -> batch
 formed) are recorded into :class:`~repro.serving.stats.ServiceStats`,
@@ -147,8 +145,8 @@ class AsyncLinkingService:
     the sequential pipeline would return; ``link_batch`` and
     ``link_stream`` are order-preserving conveniences on top.  Accepts a
     fitted :class:`EDPipeline` (a ``LinkingService`` is built from
-    ``config``) or an existing ``LinkingService`` (e.g. one configured
-    with ``num_shards > 1`` for sharded scoring).
+    ``config``) or an existing ``LinkingService`` (e.g. one serving from
+    an mmap bundle).
     """
 
     def __init__(
@@ -331,7 +329,7 @@ class AsyncLinkingService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain the queue, stop the worker, release shard workers."""
+        """Drain the queue, stop the worker, close the service."""
         with self._cond:
             if self._closed and not self._worker.is_alive():
                 return

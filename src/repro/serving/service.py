@@ -6,9 +6,10 @@ forward.  ``LinkingService`` amortises those costs for service-style
 traffic:
 
 * the **reference-embedding cache** — KB node embeddings are computed
-  once at construction (optionally persisted to disk) and reused for
-  every request; a fingerprint over the model weights and the KB shape
-  invalidates the cache when either changes;
+  once at construction (or read from an mmap bundle, see
+  :mod:`repro.storage`) and reused for every request; a fingerprint over
+  the model weights and the KB shape invalidates the cache when either
+  changes;
 * the **micro-batch scheduler** — each request's query graphs are packed
   into disjoint unions of at most ``max_batch_size`` graphs (via
   :func:`repro.graph.batch.batch_graphs`) and embedded in one forward
@@ -34,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..core.pipeline import EDPipeline, Prediction
+from ..core.pipeline import EDPipeline, Prediction, check_top_k
 from ..core.query_graph import QueryGraph, build_query_graph
 from ..graph.batch import batch_graphs
 from ..graph.index import normalize_surface
@@ -113,12 +114,8 @@ class ServiceConfig:
 
     max_batch_size: int = 32  # query graphs per disjoint-union forward
     cache_size: int = 2048  # LRU entries; <= 0 disables the result cache
-    top_k: int = 5
+    top_k: int = 5  # ranked candidates returned per mention; >= 1
     restrict_to_candidates: bool = True
-    ref_cache_path: Optional[str] = None  # persist KB embeddings here
-    # KB shards for fan-out candidate scoring, on min(num_shards,
-    # cpu_count) threads.
-    num_shards: int = 1
     # Optional network front door (repro.serving.http); a dict — the shape
     # dataclasses.asdict and the LinkerConfig JSON round trip produce — is
     # strictly coerced into an HttpConfig.
@@ -128,16 +125,15 @@ class ServiceConfig:
     # LinkerConfig JSON round trip is strictly coerced.
     storage: StorageConfig = field(default_factory=StorageConfig)
     # Overload policy of the async scheduler (repro.serving.admission):
-    # queue bound, shed policy (default $REPRO_ADMISSION) and
-    # priorities.  Same strict dict coercion as http/storage, so it
-    # round-trips through LinkerConfig JSON.
+    # queue bound, shed policy and priorities.  Same strict dict
+    # coercion as http/storage, so it round-trips through LinkerConfig
+    # JSON.
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
 
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
+        check_top_k(self.top_k)
         if isinstance(self.http, dict):
             try:
                 self.http = HttpConfig(**self.http)
@@ -187,17 +183,15 @@ class LinkingService:
         self.stats = ServiceStats()
         self._cache = LRUCache(self.config.cache_size)
         self._embedder = MemoizingEmbedder(pipeline.embedder)
-        # Where the matrices live (repro.storage): the memory backend is
-        # today's live arrays (+ optional .npz persistence via
-        # ref_cache_path); the mmap backend serves both matrices as
-        # read-only maps of a packed bundle.
+        # Where the matrices live (repro.storage): the memory backend
+        # serves the live arrays; the mmap backend serves both matrices as
+        # read-only maps of a packed bundle, which also persists h_ref.
         self._kb_store, self._embedding_store = open_stores(
-            self.config.storage, pipeline.kb, ref_cache_path=self.config.ref_cache_path
+            self.config.storage, pipeline.kb
         )
         self._fingerprint: Optional[tuple] = None
         self._h_ref: Optional[Tensor] = None
         self._x_ref: Optional[Tensor] = None
-        self._sharded = None  # ShardedKB when config.num_shards > 1
         self.refresh(force=True)
 
     # ------------------------------------------------------------------
@@ -220,8 +214,7 @@ class LinkingService:
         """Full content checksum (weights + KB nodes/edges/features) that
         keys the *persisted* reference-embedding matrix — unlike
         :meth:`fingerprint` it is stable across processes (it is the key
-        both the memory backend's ``.npz`` cache and the mmap bundle's
-        manifest carry)."""
+        the mmap bundle's manifest carries)."""
         return _content_fingerprint(self.pipeline)
 
     def refresh(self, force: bool = False) -> bool:
@@ -241,54 +234,13 @@ class LinkingService:
         # Seed the pipeline's own cache so sequential calls agree (and,
         # with a store-backed matrix, score out of the same bytes).
         self.pipeline._h_ref = np.asarray(h_ref)
-        x_ref = self._kb_store.features
         self._h_ref = Tensor(h_ref)
-        self._x_ref = Tensor(x_ref)
-        if self.config.num_shards > 1:
-            self._refresh_shards(
-                np.asarray(h_ref), x_ref, previous=self._fingerprint, current=current
-            )
+        self._x_ref = Tensor(self._kb_store.features)
         self._fingerprint = current
         self._cache.clear()
         self.stats.record_ref_refresh()
         self.stats.record_storage(self._kb_store.backend)
         return True
-
-    def _refresh_shards(
-        self,
-        h_ref: np.ndarray,
-        x_ref: np.ndarray,
-        previous: Optional[tuple],
-        current: tuple,
-    ) -> None:
-        """(Re)build or warm-start the sharded scoring backend.
-
-        When only the weights changed (KB version/shape untouched) the
-        partition stays valid and the fresh embedding matrix is just
-        re-sliced into it — the warm-start ref-cache distribution; any
-        KB change rebuilds the partition."""
-        from .sharding import ShardedKB
-
-        kb_unchanged = previous is not None and previous[1:] == current[1:]
-        if self._sharded is not None and kb_unchanged:
-            t0 = perf_counter()
-            self._sharded.distribute(h_ref)
-            self.stats.record_publish(perf_counter() - t0)
-            return
-        if self._sharded is not None:
-            self._sharded.close()
-        self._sharded = ShardedKB(
-            self.pipeline,
-            self.config.num_shards,
-            ref_embeddings=h_ref,
-            ref_features=x_ref,
-        )
-
-    @property
-    def sharded(self):
-        """The :class:`~repro.serving.sharding.ShardedKB` backend, or
-        ``None`` when scoring runs against the unsharded KB."""
-        return self._sharded
 
     @property
     def kb_store(self):
@@ -301,9 +253,7 @@ class LinkingService:
         return self._embedding_store
 
     def close(self) -> None:
-        """Release the shard thread pool and the storage backends."""
-        if self._sharded is not None:
-            self._sharded.close()
+        """Release the storage backends."""
         self._kb_store.close()
         self._embedding_store.close()
 
@@ -321,7 +271,7 @@ class LinkingService:
         Equivalent to calling ``disambiguate_snippet`` per snippet, but
         cache-aware and batched.
         """
-        top_k = self.config.top_k if top_k is None else top_k
+        top_k = self.config.top_k if top_k is None else check_top_k(top_k)
         restrict = (
             self.config.restrict_to_candidates
             if restrict_to_candidates is None
@@ -407,8 +357,6 @@ class LinkingService:
 
         self.stats.record_request(len(snippets))
         self.stats.record_cache(hits, misses)
-        if self._sharded is not None:
-            self.stats.record_shards(*self._sharded.shard_telemetry())
         generator = self.pipeline.candidate_generator
         self.stats.record_candidate_sources(
             getattr(generator, "name", type(generator).__name__),
@@ -508,20 +456,13 @@ class LinkingService:
             ref_ids = np.concatenate([
                 np.asarray(c, dtype=np.int64) for c in candidate_sets
             ])
-            if self._sharded is not None:
-                # Fan the flat pair list out across the KB shards; the
-                # gather is positional, so scores match the unsharded call.
-                flat = self._sharded.score_pairs_flat(
-                    h_qry, mention_ids, ref_ids, x_query=x_qry
-                )
-            else:
-                flat = model.score_pairs(
-                    h_qry,
-                    mention_ids,
-                    self._h_ref,
-                    ref_ids,
-                    x_query=x_qry,
-                    x_ref=self._x_ref,
-                ).data
+            flat = model.score_pairs(
+                h_qry,
+                mention_ids,
+                self._h_ref,
+                ref_ids,
+                x_query=x_qry,
+                x_ref=self._x_ref,
+            ).data
         bounds = np.cumsum([0] + lengths)
         return [flat[bounds[j] : bounds[j + 1]] for j in range(len(lengths))]

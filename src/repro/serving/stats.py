@@ -40,10 +40,8 @@ class ServiceStats:
     ref_refreshes: int = 0  # reference-embedding cache rebuilds
     compute_seconds: float = 0.0  # wall time inside batched forwards
     # Storage telemetry (repro.storage): which backend serves the KB
-    # matrices, and the cost of warm-start distribute() publishes.
+    # matrices.
     storage_backend: str = "memory"
-    publishes: int = 0  # warm-start distribute() calls
-    publish_seconds: float = 0.0  # wall time inside those publishes
     # Candidate-generation telemetry (repro.retrieval): which generator
     # serves candidates, wall time in the candidate stage, and how often
     # the inverted index answered outright vs the fallback retrieval ran
@@ -57,10 +55,6 @@ class ServiceStats:
     # and shed requests per priority class.
     admitted: Dict[str, int] = field(default_factory=dict)
     shed: Dict[str, int] = field(default_factory=dict)
-    # Per-shard telemetry (repro.serving.sharding): per-shard score calls
-    # and wall time, snapshotted from the sharded backend's own counters.
-    shard_score_calls: List[int] = field(default_factory=list)
-    shard_score_seconds: List[float] = field(default_factory=list)
     # submit -> result / submit -> batch formed, most recent LATENCY_WINDOW
     latencies_ms: Deque[float] = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
     queue_waits_ms: Deque[float] = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
@@ -91,11 +85,6 @@ class ServiceStats:
         """The storage backend serving the KB matrices (a gauge)."""
         self.storage_backend = backend
 
-    def record_publish(self, seconds: float) -> None:
-        """One warm-start ``distribute()`` publish and its wall time."""
-        self.publishes += 1
-        self.publish_seconds += seconds
-
     def record_latency(self, total_seconds: float, queue_wait_seconds: float = 0.0) -> None:
         """One async request's end-to-end latency and its queue wait."""
         self.latencies_ms.append(total_seconds * 1000.0)
@@ -122,12 +111,6 @@ class ServiceStats:
     def record_shed(self, priority: str) -> None:
         """One request shed at the gate under ``priority``."""
         self.shed[priority] = self.shed.get(priority, 0) + 1
-
-    def record_shards(self, calls: List[int], seconds: List[float]) -> None:
-        """Snapshot of the sharded backend's lifetime per-shard score
-        calls and wall time (gauges)."""
-        self.shard_score_calls = list(calls)
-        self.shard_score_seconds = list(seconds)
 
     # ------------------------------------------------------------------
     # Derived metrics
@@ -201,8 +184,6 @@ class ServiceStats:
             "compute_seconds": round(self.compute_seconds, 4),
             "mentions_per_second": round(self.mentions_per_second, 2),
             "storage_backend": self.storage_backend,
-            "publishes": self.publishes,
-            "publish_ms": round(self.publish_seconds * 1000.0, 2),
             "candidate_generator": self.candidate_generator,
             "candidate_lookups": self.candidate_lookups,
             "candidate_index_hits": self.candidate_index_hits,
@@ -212,13 +193,6 @@ class ServiceStats:
             "shed": dict(self.shed),
             "shed_rate": round(self.shed_rate, 4),
         }
-        if self.shard_score_calls:
-            payload.update(
-                shard_score_calls=list(self.shard_score_calls),
-                shard_score_ms=[
-                    round(s * 1000.0, 2) for s in self.shard_score_seconds
-                ],
-            )
         if self.candidate_ms:
             payload.update(
                 candidate_p50_ms=round(self.candidate_percentile(50), 3),
@@ -254,8 +228,6 @@ class ServiceStats:
             ("batches_total", self.batches, "micro-batch forward passes"),
             ("ref_refreshes_total", self.ref_refreshes, "reference-embedding rebuilds"),
             ("compute_seconds_total", self.compute_seconds, "wall time in batched forwards"),
-            ("storage_publishes_total", self.publishes, "warm-start distribute() publishes"),
-            ("storage_publish_seconds_total", self.publish_seconds, "wall time in publishes"),
             ("candidates_lookups_total", self.candidate_lookups, "candidate-generation lookups"),
             ("candidates_seconds_total", self.candidate_seconds, "wall time in candidate generation"),
             ("candidates_index_hits_total", self.candidate_index_hits, "inverted-index candidate hits"),
@@ -289,22 +261,6 @@ class ServiceStats:
                     f'{prefix}_{name}{{priority="{priority}"}} '
                     f"{values.get(priority, 0)}"
                 )
-        lines += [
-            f"# HELP {prefix}_shard_score_calls_total per-shard score fan-out calls",
-            f"# TYPE {prefix}_shard_score_calls_total counter",
-        ]
-        for shard, calls in enumerate(self.shard_score_calls):
-            lines.append(
-                f'{prefix}_shard_score_calls_total{{shard="{shard}"}} {calls}'
-            )
-        lines += [
-            f"# HELP {prefix}_shard_score_seconds_total per-shard score wall time",
-            f"# TYPE {prefix}_shard_score_seconds_total counter",
-        ]
-        for shard, seconds in enumerate(self.shard_score_seconds):
-            lines.append(
-                f'{prefix}_shard_score_seconds_total{{shard="{shard}"}} {seconds}'
-            )
         for name, value, help_text in gauges:
             lines += [
                 f"# HELP {prefix}_{name} {help_text}",
@@ -359,8 +315,6 @@ class ServiceStats:
         self.ref_refreshes = 0
         self.compute_seconds = 0.0
         self.storage_backend = "memory"
-        self.publishes = 0
-        self.publish_seconds = 0.0
         self.candidate_generator = "exact"
         self.candidate_lookups = 0
         self.candidate_seconds = 0.0
@@ -368,8 +322,6 @@ class ServiceStats:
         self.candidate_fallbacks = 0
         self.admitted = {}
         self.shed = {}
-        self.shard_score_calls = []
-        self.shard_score_seconds = []
         self.latencies_ms = deque(maxlen=LATENCY_WINDOW)
         self.queue_waits_ms = deque(maxlen=LATENCY_WINDOW)
         self.candidate_ms = deque(maxlen=LATENCY_WINDOW)

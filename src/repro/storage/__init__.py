@@ -43,21 +43,17 @@ __all__ = [
 
 
 def open_stores(
-    config: Optional[StorageConfig],
-    kb,
-    ref_cache_path: Optional[str] = None,
+    config: Optional[StorageConfig], kb
 ) -> Tuple[KBStore, EmbeddingStore]:
     """Open the (KB store, embedding store) pair a config names.
 
     The mmap backend returns one bundle-backed object implementing both
     seams (the matrices share a directory and a lifecycle; callers may
-    close both handles — close is idempotent).  ``ref_cache_path`` is
-    the memory backend's historical ``.npz`` persistence knob and is
-    ignored by the mmap backend, whose bundle already persists the
-    matrix.
+    close both handles — close is idempotent).  It is the only backend
+    that persists the embedding matrix.
     """
     config = config or StorageConfig()
     if config.kb_store == "mmap":
         store = MmapStore(kb, directory=config.bundle_path)
         return store, store
-    return MemoryKBStore(kb), MemoryEmbeddingStore(ref_cache_path)
+    return MemoryKBStore(kb), MemoryEmbeddingStore()

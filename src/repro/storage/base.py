@@ -6,21 +6,23 @@ the process.  That couples KB size to one process's memory.  This
 module splits *where those matrices live* out of *how they are used*:
 
 * :class:`KBStore` — serves the KB's node feature matrix (``x_ref``);
-* :class:`EmbeddingStore` — persists and serves the reference-embedding
-  matrix (``h_ref``), keyed by a content fingerprint over (model
-  weights, KB) so a stale matrix is never served;
+* :class:`EmbeddingStore` — serves the reference-embedding matrix
+  (``h_ref``), and, where the backend persists it, keys it by a content
+  fingerprint over (model weights, KB) so a stale matrix is never
+  served;
 * :class:`StorageConfig` — the declarative knob set, a strict
   round-trip section of :class:`~repro.serving.ServiceConfig` (and thus
   of the LinkerConfig JSON).
 
 Two backends implement the seam (``KB_STORES``):
 
-* ``"memory"`` (default) — today's behavior: live arrays, optional
-  ``.npz`` persistence of the embedding matrix;
+* ``"memory"`` (default) — live arrays; the embedding matrix is
+  computed at every start and never persisted;
 * ``"mmap"`` — both matrices persisted as ``.npy`` array files in a
   *bundle* directory (see :mod:`repro.storage.bundle`) and served as
   read-only memory maps, so a KB larger than one process's RAM is
   servable and N serving processes on one host share one page cache.
+  The bundle is the one persisted form of ``h_ref``.
 
 Every backend serves bit-identical bytes — scores never depend on where
 the matrices live.
@@ -120,10 +122,12 @@ class KBStore:
 
 
 class EmbeddingStore:
-    """Persists and serves the reference-embedding matrix (``h_ref``).
+    """Serves (and, if the backend persists it, reloads) the
+    reference-embedding matrix (``h_ref``).
 
     The matrix is keyed by a content fingerprint over (model weights,
-    KB); ``load`` returns ``None`` rather than a stale matrix.
+    KB); ``load`` returns ``None`` rather than a stale matrix, and
+    always ``None`` from a backend that persists nothing.
     """
 
     backend: str

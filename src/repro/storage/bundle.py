@@ -27,8 +27,8 @@ leaves a bundle that parses.
 
 This module also owns the fingerprint helpers (:func:`weights_crc`,
 :func:`content_fingerprint`) that key every persisted embedding matrix
-— the serving layer delegates here so the memory backend's ``.npz``
-cache and the mmap bundle agree on what "stale" means.
+— the serving layer delegates here so its refresh check and the mmap
+bundle agree on what "stale" means.
 """
 
 from __future__ import annotations

@@ -1,17 +1,13 @@
-"""The in-RAM storage backend — today's behavior behind the seam.
+"""The in-RAM storage backend — live arrays behind the seam.
 
 ``MemoryKBStore`` serves the live ``kb.features`` array untouched;
-``MemoryEmbeddingStore`` keeps the embedding matrix wherever the caller
-holds it and optionally persists it to a ``.npz`` file (the historical
-``ref_cache_path`` contract of :class:`~repro.serving.LinkingService`,
-moved here verbatim: the file carries the content fingerprint it was
-computed under, and a stale fingerprint reads as a miss, never as wrong
-embeddings).
+``MemoryEmbeddingStore`` is a pass-through that persists nothing: every
+service start computes ``h_ref`` afresh.  A matrix that should outlive
+the process belongs in an mmap bundle (:mod:`repro.storage.bundle`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -38,27 +34,14 @@ class MemoryKBStore(KBStore):
 
 
 class MemoryEmbeddingStore(EmbeddingStore):
-    """In-RAM embedding matrix with optional ``.npz`` persistence."""
+    """Serves the freshly computed matrix as is; never persists it."""
 
     backend = "memory"
 
-    def __init__(self, ref_cache_path: Optional[str] = None):
-        self._path = ref_cache_path
-
     def load(self, fingerprint: int) -> Optional[np.ndarray]:
-        if self._path is None or not os.path.exists(self._path):
-            return None
-        with np.load(self._path) as payload:
-            if int(payload["fingerprint"]) != fingerprint:
-                return None  # stale: model or KB changed since it was written
-            return payload["h_ref"]
+        return None
 
     def store(self, fingerprint: int, h_ref: np.ndarray) -> np.ndarray:
-        if self._path is not None:
-            directory = os.path.dirname(self._path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            np.savez(self._path, fingerprint=np.int64(fingerprint), h_ref=h_ref)
         return h_ref
 
     def close(self) -> None:

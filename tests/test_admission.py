@@ -3,11 +3,10 @@
 The policy object (:class:`AdmissionController`) is exercised with fake
 clocks and synthetic observations — no sleeps.
 The configuration surface is checked end to end: strict validation,
-the ``REPRO_ADMISSION`` env default, the exact round trip through
-``ServiceConfig`` / ``LinkerConfig`` JSON, and Python-API / env / CLI
-parity.  Shed paths run against a tiny trained pipeline with a stalled
-worker (huge deadline, oversized batch) so queue depth is deterministic,
-and the HTTP 429 contract (``Retry-After``, structured body, the typed
+the exact round trip through ``ServiceConfig`` / ``LinkerConfig`` JSON,
+and Python-API / CLI parity.  Shed paths run against a tiny trained
+pipeline with a stalled worker (huge deadline, oversized batch) so queue
+depth is deterministic, and the HTTP 429 contract (``Retry-After``, structured body, the typed
 client exception and its bounded-retry helper) runs against a real
 server on an ephemeral port.
 """
@@ -52,7 +51,7 @@ SNIPPET_TEXT = (
 
 
 # ---------------------------------------------------------------------------
-# AdmissionConfig: validation, env default, config round trips
+# AdmissionConfig: validation, config round trips
 # ---------------------------------------------------------------------------
 class TestAdmissionConfig:
     def test_defaults(self):
@@ -68,18 +67,6 @@ class TestAdmissionConfig:
             AdmissionConfig(max_queue=0)
         with pytest.raises(ValueError, match="max_wait_ms"):
             AdmissionConfig(max_wait_ms=-1.0)
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADMISSION", "wait")
-        assert AdmissionConfig().shed_policy == "wait"
-        assert ServiceConfig().admission.shed_policy == "wait"
-        monkeypatch.setenv("REPRO_ADMISSION", "waiiit")
-        with pytest.raises(ValueError, match="shed_policy"):
-            AdmissionConfig()
-
-    def test_explicit_policy_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADMISSION", "wait")
-        assert AdmissionConfig(shed_policy="depth").shed_policy == "depth"
 
     def test_service_config_coerces_dict(self):
         config = ServiceConfig(admission={"shed_policy": "depth", "max_queue": 8})
@@ -455,7 +442,7 @@ class TestRetryHelper:
 
 
 # ---------------------------------------------------------------------------
-# Python API / env / CLI parity for the admission surface
+# Python API / CLI parity for the admission surface
 # ---------------------------------------------------------------------------
 class TestAdmissionParity:
     class FakeLinker:
@@ -483,15 +470,8 @@ class TestAdmissionParity:
         assert admission == AdmissionConfig(shed_policy="wait", max_queue=4)
 
     def test_cli_max_queue_implies_depth(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ADMISSION", raising=False)
         admission = self.capture_cli(monkeypatch, ["--max-queue", "4"])
         assert admission == AdmissionConfig(shed_policy="depth", max_queue=4)
-
-    def test_cli_env_supplies_the_policy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADMISSION", "wait")
-        admission = self.capture_cli(monkeypatch, ["--max-queue", "4"])
-        assert admission.shed_policy == "wait"
-        assert admission.max_queue == 4
 
     def test_cli_without_flags_defers_to_config_default(self, monkeypatch):
         from repro import cli
@@ -518,15 +498,6 @@ class TestAdmissionParity:
             service.close()
         with pytest.raises(ValueError, match="admission"):
             linker.serve(admission=3.14)
-
-    def test_env_python_api_parity(self, pipeline, monkeypatch):
-        monkeypatch.setenv("REPRO_ADMISSION", "depth")
-        linker = Linker(pipeline)
-        service = linker.serve()
-        try:
-            assert service.config.admission.shed_policy == "depth"
-        finally:
-            service.close()
 
     def test_admission_config_survives_linker_round_trip(self):
         config = dataclasses.replace(

@@ -4,8 +4,8 @@ Covers the acceptance contract of the facade redesign:
 
 * ``LinkerConfig.from_json(cfg.to_json())`` round-trips for every
   registered component combination (and rejects unknown keys, unknown
-  component names, and bad schema versions — a v1 or v2 payload, or a
-  checkpoint carrying one, fails naming every key removed since);
+  component names, and bad schema versions — a v1, v2 or v3 payload, or
+  a checkpoint carrying one, fails naming every key removed since);
 * the registries reject duplicate names and list options on a miss;
 * a ``Linker.save`` checkpoint reproduces ``disambiguate_snippet``
   predictions bit-identically after ``Linker.load`` — equal to the
@@ -46,6 +46,13 @@ from repro.text import HashingNgramEmbedder
 SMALL_MODEL = dict(variant="graphsage", num_layers=2, feature_dim=32, hidden_dim=32)
 
 
+#: keys a schema-version-3 payload carried that version 4 removed (the
+#: thread shards and the .npz reference-embedding cache), with their
+#: version-3 defaults
+V3_REMOVED = {
+    "service.num_shards": 1,
+    "service.ref_cache_path": None,
+}
 #: keys a schema-version-2 payload carried that version 3 removed (the
 #: LSH retrieval backend and the adaptive admission tuner), with their
 #: version-2 defaults
@@ -75,9 +82,10 @@ def legacy_payload(config: LinkerConfig, version: int) -> dict:
     layout plus every key removed since ``version``."""
     payload = config.to_dict()
     payload["schema_version"] = version
-    removed = dict(V2_REMOVED)
-    if version == 1:
-        removed.update(V1_REMOVED)
+    removed = {}
+    for since, keys in ((1, V1_REMOVED), (2, V2_REMOVED), (3, V3_REMOVED)):
+        if version <= since:
+            removed.update(keys)
     for dotted, value in removed.items():
         *path, key = dotted.split(".")
         section = payload
@@ -190,7 +198,7 @@ class TestLinkerConfigRoundTrip:
 
     def test_service_section_round_trips(self):
         config = small_config(
-            service=ServiceConfig(max_batch_size=8, cache_size=0, num_shards=3, top_k=2)
+            service=ServiceConfig(max_batch_size=8, cache_size=0, top_k=2)
         )
         loaded = LinkerConfig.from_json(config.to_json())
         assert loaded.service == config.service
@@ -247,7 +255,7 @@ class TestLinkerConfigRejection:
         ) as info:
             LinkerConfig.from_dict(payload)
         # Every key removed since version 1 is named, not just version 2's.
-        for key in V2_REMOVED:
+        for key in (*V2_REMOVED, *V3_REMOVED):
             assert key in str(info.value)
         # Nor does the current version accept a removed key silently.
         payload["schema_version"] = CONFIG_SCHEMA_VERSION
@@ -258,20 +266,37 @@ class TestLinkerConfigRejection:
         payload = legacy_payload(small_config(), 2)
         with pytest.raises(ValueError, match="schema_version 2 ") as info:
             LinkerConfig.from_dict(payload)
-        for key in V2_REMOVED:
+        for key in (*V2_REMOVED, *V3_REMOVED):
             assert key in str(info.value)
         for key in V1_REMOVED:
             assert key not in str(info.value)
         # Relabelled as the current version, the removed keys still fail
         # their sections instead of being dropped silently.
         payload["schema_version"] = CONFIG_SCHEMA_VERSION
+        with pytest.raises(ValueError, match="bad service section.*num_shards"):
+            LinkerConfig.from_dict(payload)
+        for dotted in V3_REMOVED:
+            del payload["service"][dotted.split(".")[-1]]
         with pytest.raises(ValueError, match="bad admission section.*adaptive"):
             LinkerConfig.from_dict(payload)
         del payload["service"]["admission"]
         with pytest.raises(ValueError, match="bad retrieval section.*backend"):
             LinkerConfig.from_dict(payload)
 
-    def test_v3_round_trips_exactly(self):
+    def test_v3_payload_rejected_naming_removed_keys(self):
+        payload = legacy_payload(small_config(), 3)
+        with pytest.raises(
+            ValueError,
+            match=r"schema_version 3 .*service\.num_shards, service\.ref_cache_path",
+        ) as info:
+            LinkerConfig.from_dict(payload)
+        for key in (*V1_REMOVED, *V2_REMOVED):
+            assert key not in str(info.value)
+        payload["schema_version"] = CONFIG_SCHEMA_VERSION
+        with pytest.raises(ValueError, match="bad service section.*num_shards"):
+            LinkerConfig.from_dict(payload)
+
+    def test_v4_round_trips_exactly(self):
         from repro.retrieval import RetrievalConfig
         from repro.serving import AdmissionConfig
 
@@ -284,12 +309,16 @@ class TestLinkerConfigRejection:
             ),
         )
         payload = json.loads(config.to_json())
-        assert CONFIG_SCHEMA_VERSION == 3
-        assert payload["schema_version"] == 3
+        assert CONFIG_SCHEMA_VERSION == 4
+        assert payload["schema_version"] == 4
         loaded = LinkerConfig.from_json(config.to_json())
         assert loaded.to_dict() == config.to_dict()
         assert loaded.retrieval == config.retrieval
         assert loaded.service == config.service
+        assert set(payload["service"]) == {
+            "max_batch_size", "cache_size", "top_k", "restrict_to_candidates",
+            "http", "storage", "admission",
+        }
         assert set(payload["retrieval"]) == {
             "shortlist", "ngram_size", "num_buckets", "max_df_ratio", "seed",
             "bundle_path",
@@ -413,7 +442,16 @@ class TestLinkerPersistence:
         path.write_text(json.dumps(legacy_payload(trained.config, 2)))
         with pytest.raises(ValueError, match="schema_version 2 ") as info:
             Linker.load(str(tmp_path))
-        for key in V2_REMOVED:
+        for key in (*V2_REMOVED, *V3_REMOVED):
+            assert key in str(info.value)
+
+    def test_load_rejects_v3_linker_json(self, trained, tmp_path):
+        trained.save(str(tmp_path))
+        path = tmp_path / LINKER_CONFIG_FILE
+        path.write_text(json.dumps(legacy_payload(trained.config, 3)))
+        with pytest.raises(ValueError, match="schema_version 3 ") as info:
+            Linker.load(str(tmp_path))
+        for key in V3_REMOVED:
             assert key in str(info.value)
 
     def test_load_equals_legacy_load_bit_identically(self, dataset, trained, tmp_path):
@@ -484,15 +522,6 @@ class TestLinkerServe:
         # The declarative config is untouched by per-call overrides.
         assert trained.config.service.max_batch_size == ServiceConfig().max_batch_size
         service.close()
-
-    def test_serve_shards_override(self, trained):
-        service = trained.serve(shards=2, cache_size=0)
-        try:
-            assert service.config.num_shards == 2
-            assert service.sharded is not None
-            assert service.sharded.num_shards == 2
-        finally:
-            service.close()
 
     def test_linking_service_accepts_linker(self, dataset, trained):
         from repro.serving import LinkingService

@@ -113,6 +113,13 @@ class TestTrainAndLink:
         with pytest.raises(SystemExit):
             main(["link", "--checkpoint", str(tmp_path / "nope"), "--text", "x"])
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_link_rejects_top_k_below_one(self, checkpoint, top_k):
+        with pytest.raises(SystemExit, match="top_k must be >= 1") as info:
+            main(["link", "--checkpoint", checkpoint, "--text", SNIPPET_TEXT,
+                  "--top-k", top_k])
+        assert "\n" not in str(info.value.code)
+
     def test_explain_prints_edges(self, checkpoint, capsys):
         assert main(
             [
@@ -142,24 +149,6 @@ class TestServe:
         out = capsys.readouterr().out
         assert "serving stats:" in out
         assert "mentions_per_second" in out
-
-    def test_sharded_split(self, checkpoint, capsys):
-        # --shards plumbs through Linker.serve into thread shards.
-        assert main(
-            [
-                "serve",
-                "--checkpoint", checkpoint,
-                "--dataset", "NCBI",
-                "--scale", SCALE,
-                "--limit", "4",
-                "--batch-size", "4",
-                "--shards", "2",
-                "--json",
-            ]
-        ) == 0
-        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert len(lines) == 4
-        assert all("candidates" in line for line in lines)
 
     def test_text_file_json(self, checkpoint, tmp_path, capsys):
         texts = tmp_path / "texts.txt"
@@ -207,7 +196,7 @@ class TestServe:
         out = capsys.readouterr().out
         assert out.count("->") == 2
 
-    def test_stdin_async_sharded_json(self, checkpoint, capsys, monkeypatch):
+    def test_stdin_async_json(self, checkpoint, capsys, monkeypatch):
         import io
 
         monkeypatch.setattr("sys.stdin", io.StringIO(SNIPPET_TEXT + "\n" + SNIPPET_TEXT + "\n"))
@@ -218,7 +207,6 @@ class TestServe:
                 "--input", "-",
                 "--async",
                 "--deadline-ms", "20",
-                "--shards", "2",
                 "--json",
                 "--stats",
             ]
@@ -298,13 +286,20 @@ class TestServe:
         ]
         assert main(argv) == 0
         sync_out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert main(argv + ["--async", "--deadline-ms", "15", "--shards", "2"]) == 0
+        assert main(argv + ["--async", "--deadline-ms", "15"]) == 0
         async_out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         for a, b in zip(sync_out, async_out):
             assert a["mention"] == b["mention"]
             assert [c["entity_id"] for c in a["candidates"]] == [
                 c["entity_id"] for c in b["candidates"]
             ]
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_serve_rejects_top_k_below_one(self, checkpoint, top_k):
+        with pytest.raises(SystemExit, match="top_k must be >= 1") as info:
+            main(["serve", "--checkpoint", checkpoint, "--dataset", "NCBI",
+                  "--scale", SCALE, "--limit", "2", "--json", "--top-k", top_k])
+        assert "\n" not in str(info.value.code)
 
     def test_bad_deadline_rejected(self, checkpoint):
         with pytest.raises(SystemExit):
@@ -569,7 +564,6 @@ class TestKbPack:
                 "--scale", SCALE,
                 "--limit", "4",
                 "--kb-store", "mmap",
-                "--shards", "2",
                 "--json",
                 "--stats",
             ]
@@ -587,31 +581,29 @@ class TestServeSigpipe:
     def test_closed_stdout_during_storage_init_exits_clean(self, checkpoint):
         # A downstream consumer hanging up while serve is still packing /
         # mapping the bundle (storage init) must end the process SIGPIPE-
-        # clean: exit 0, no traceback on stderr — unsharded and sharded.
+        # clean: exit 0, no traceback on stderr.
         import subprocess
         import sys
 
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(root, "src")
-        for extra in ([], ["--shards", "2"]):
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "serve",
-                    "--checkpoint", checkpoint,
-                    "--input", "-",
-                    "--kb-store", "mmap",
-                    *extra,
-                ],
-                cwd=root,
-                env=env,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-            )
-            proc.stdout.close()  # hang up before the first prediction
-            proc.stdin.write((SNIPPET_TEXT + "\n").encode())
-            proc.stdin.close()
-            stderr = proc.stderr.read()
-            assert proc.wait(timeout=120) == 0, stderr.decode()
-            assert b"Traceback" not in stderr
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--checkpoint", checkpoint,
+                "--input", "-",
+                "--kb-store", "mmap",
+            ],
+            cwd=root,
+            env=env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # hang up before the first prediction
+        proc.stdin.write((SNIPPET_TEXT + "\n").encode())
+        proc.stdin.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr.decode()
+        assert b"Traceback" not in stderr

@@ -2,9 +2,9 @@
 
 Covers batch-vs-sequential result equivalence (the service must return
 exactly what ``EDPipeline.disambiguate_snippet`` returns), the result
-LRU cache (hits, context sensitivity, invalidation), the persisted
-reference-embedding cache, the stats counters, and the vectorised
-matcher fast paths the service relies on.
+LRU cache (hits, context sensitivity, invalidation), ``top_k``
+validation, the stats counters, and the vectorised matcher fast paths
+the service relies on.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.core import EDPipeline, ModelConfig, TrainConfig, make_matcher
 from repro.autograd import Tensor
 from repro.datasets import load_dataset
 from repro.serving import LinkingService, LRUCache, ServiceConfig, ServiceStats
-from repro.storage import StorageConfig
 from repro.text.corpus import Snippet
 
 SCALE = 0.2
@@ -198,42 +197,26 @@ class TestResultCache:
         assert service.stats.ref_refreshes == 1
 
 
-class TestRefEmbeddingPersistence:
-    # The .npz persistence contract belongs to the memory embedding
-    # store, so these pin storage explicitly (the kb-store CI axis
-    # forces mmap via REPRO_KB_STORE, whose bundle persists h_ref
-    # itself and ignores ref_cache_path).
-    def test_ref_cache_roundtrip(self, pipeline, tmp_path, monkeypatch):
-        path = str(tmp_path / "ref.npz")
-        memory = StorageConfig(kb_store="memory")
-        first = LinkingService(
-            pipeline, ServiceConfig(ref_cache_path=path, storage=memory)
-        )
-        assert (tmp_path / "ref.npz").exists()
+class TestTopKValidation:
+    # A cut below 1 would slice the ranking from the end (-1 drops the
+    # last candidate) or empty it, so every entry point rejects it.
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_service_config_rejects(self, top_k):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            ServiceConfig(top_k=top_k)
 
-        # A second service must load the persisted embeddings instead of
-        # recomputing them.
-        def boom(self):
-            raise AssertionError("ref embeddings recomputed despite a valid cache")
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_link_batch_rejects(self, pipeline, dataset, top_k):
+        service = LinkingService(pipeline, ServiceConfig(cache_size=0))
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            service.link_batch(dataset.test[:1], top_k=top_k)
 
-        monkeypatch.setattr(EDPipeline, "ref_embeddings", boom)
-        second = LinkingService(
-            pipeline, ServiceConfig(ref_cache_path=path, storage=memory)
-        )
-        assert np.array_equal(first._h_ref.data, second._h_ref.data)
-
-    def test_stale_ref_cache_rejected(self, pipeline, tmp_path):
-        path = str(tmp_path / "ref.npz")
-        service = LinkingService(
-            pipeline,
-            ServiceConfig(
-                ref_cache_path=path, storage=StorageConfig(kb_store="memory")
-            ),
-        )
-        with np.load(path) as payload:
-            h_ref = payload["h_ref"]
-        np.savez(path, fingerprint=np.int64(12345), h_ref=np.zeros_like(h_ref))
-        assert service.embedding_store.load(service.content_fingerprint()) is None
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_disambiguate_snippet_rejects(self, pipeline, dataset, top_k):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            pipeline.disambiguate_snippet(
+                dataset.test[0], top_k=top_k, restrict_to_candidates=False
+            )
 
 
 class TestStats:
@@ -286,10 +269,9 @@ class TestStats:
             "requests", "mentions", "cache_hits", "cache_misses",
             "cache_hit_rate", "batches", "mean_batch_size", "max_batch_size",
             "ref_refreshes", "compute_seconds", "mentions_per_second",
-            "storage_backend", "publishes", "publish_ms",
-            "candidate_generator", "candidate_lookups", "candidate_index_hits",
-            "candidate_fallbacks", "candidate_seconds", "admitted", "shed",
-            "shed_rate",
+            "storage_backend", "candidate_generator", "candidate_lookups",
+            "candidate_index_hits", "candidate_fallbacks", "candidate_seconds",
+            "admitted", "shed", "shed_rate",
         }
         series = {
             line.split()[2]
@@ -301,12 +283,10 @@ class TestStats:
             for name in (
                 "requests_total", "mentions_total", "cache_hits_total",
                 "cache_misses_total", "batches_total", "ref_refreshes_total",
-                "compute_seconds_total", "storage_publishes_total",
-                "storage_publish_seconds_total", "candidates_lookups_total",
+                "compute_seconds_total", "candidates_lookups_total",
                 "candidates_seconds_total", "candidates_index_hits_total",
                 "candidates_fallbacks_total", "admission_admitted_total",
-                "admission_shed_total", "shard_score_calls_total",
-                "shard_score_seconds_total", "cache_hit_rate",
+                "admission_shed_total", "cache_hit_rate",
                 "admission_shed_rate", "mean_batch_size", "mentions_per_second",
                 "request_latency_ms", "queue_wait_ms", "candidates_stage_ms",
                 "storage_info", "candidates_info",

@@ -1,17 +1,11 @@
-"""Tests for deadline-aware async serving and KB sharding.
+"""Tests for deadline-aware async serving.
 
 The deadline scheduler's policy (:class:`DeadlineBatcher`) is exercised
-with a fake clock — no wall-clock sleeps live in this module.  The shard
-equivalence property (sequential == 1-shard == N-shard predictions on a
-seeded dataset) and the async service's end-to-end contract run against
-a tiny trained pipeline.
-
-The CI shard matrix forces the shard count via ``REPRO_TEST_SHARDS``:
-``env_shards`` swaps the forced shard count into the tests that would
-otherwise hardcode one.
+with a fake clock — no wall-clock sleeps live in this module.  The async
+service's end-to-end contract (sequential == async predictions on a
+seeded dataset) runs against a tiny trained pipeline.
 """
 
-import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -25,17 +19,10 @@ from repro.serving import (
     LinkingService,
     QueuedRequest,
     ServiceConfig,
-    ShardedKB,
 )
 
 SCALE = 0.2
 DEADLINE_S = 0.05
-
-
-def env_shards(default: int) -> int:
-    """Shard count for sharded-service tests: the CI matrix's
-    ``REPRO_TEST_SHARDS`` when set, else ``default``."""
-    return int(os.environ.get("REPRO_TEST_SHARDS", "0") or 0) or default
 
 
 @pytest.fixture(scope="module")
@@ -135,147 +122,6 @@ class TestDeadlineBatcher:
         assert batcher.drain() == []
 
 
-class TestShardedKB:
-    def test_partition_covers_kb(self, pipeline, dataset):
-        sharded = ShardedKB(pipeline, 3)
-        ids = np.sort(np.concatenate([s.node_ids for s in sharded.shards]))
-        assert np.array_equal(ids, np.arange(dataset.kb.num_nodes))
-        for shard in sharded.shards:
-            assert np.all(shard.node_ids % 3 == shard.index)
-            assert shard.h_ref.shape[0] == shard.x_ref.shape[0] == len(shard.node_ids)
-        sharded.close()
-
-    def test_routing_arithmetic(self, pipeline):
-        sharded = ShardedKB(pipeline, 3)
-        for cand in (0, 1, 5, 17):
-            owner = sharded.shard_of(cand)
-            local = sharded.local_id(cand)
-            assert sharded.shards[owner].node_ids[local] == cand
-        sharded.close()
-
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5])
-    def test_scores_identical_to_unsharded(self, pipeline, dataset, num_shards):
-        # The shard-equivalence property: per-pair scoring makes any
-        # partition merge back to the exact unsharded score vector.
-        sharded = ShardedKB(pipeline, num_shards)
-        for snippet in dataset.test[:4]:
-            qg = pipeline.build_query_graph_for(snippet)
-            candidates = pipeline.candidate_ids(
-                qg.mention_surface, category=snippet.ambiguous_mention.category
-            )
-            expected = pipeline.score_candidates(qg, candidates)
-            assert np.array_equal(expected, sharded.score_candidates(qg, candidates))
-        sharded.close()
-
-    def test_distribute_refreshes_embeddings(self, pipeline):
-        sharded = ShardedKB(pipeline, 2)
-        fresh = pipeline.ref_embeddings() + 1.0
-        sharded.distribute(fresh)
-        for shard in sharded.shards:
-            assert np.array_equal(shard.h_ref, fresh[shard.node_ids])
-        with pytest.raises(ValueError):
-            sharded.distribute(fresh[:-1])
-        sharded.close()
-
-    def test_invalid_shard_count_rejected(self, pipeline):
-        with pytest.raises(ValueError):
-            ShardedKB(pipeline, 0)
-        with pytest.raises(ValueError):
-            ServiceConfig(num_shards=0)
-
-
-class TestShardedService:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3])
-    def test_sequential_one_shard_n_shard_identical(
-        self, pipeline, dataset, sequential, num_shards
-    ):
-        service = LinkingService(
-            pipeline,
-            ServiceConfig(max_batch_size=8, cache_size=0, num_shards=num_shards),
-        )
-        try:
-            predictions = service.link_batch(dataset.test)
-            assert_predictions_match(sequential, predictions)
-            if num_shards > 1:
-                assert service.sharded is not None
-                assert service.sharded.num_shards == num_shards
-            else:
-                assert service.sharded is None
-        finally:
-            service.close()
-
-    def test_sharded_matches_unsharded_bitwise(self, pipeline, dataset):
-        unsharded = LinkingService(
-            pipeline, ServiceConfig(max_batch_size=8, cache_size=0)
-        )
-        sharded = LinkingService(
-            pipeline,
-            ServiceConfig(max_batch_size=8, cache_size=0, num_shards=env_shards(3)),
-        )
-        try:
-            for a, b in zip(
-                unsharded.link_batch(dataset.test), sharded.link_batch(dataset.test)
-            ):
-                assert a.ranked_entities == b.ranked_entities
-                assert a.scores == b.scores  # exact, not allclose
-        finally:
-            unsharded.close()
-            sharded.close()
-
-    @pytest.mark.parametrize("num_shards", [1, 2, 4], ids=lambda n: f"{n}-thread")
-    def test_backend_property_identical_to_sequential(
-        self, pipeline, dataset, sequential, num_shards
-    ):
-        # The acceptance property of the thread fan-out: over 1/2/4 shards
-        # the sharded service matches EDPipeline.disambiguate_snippet
-        # (rankings exact, scores to float tolerance) and is bit-identical
-        # to the unsharded service (both sides share the batched forward).
-        unsharded = LinkingService(
-            pipeline, ServiceConfig(max_batch_size=8, cache_size=0)
-        )
-        service = LinkingService(
-            pipeline,
-            ServiceConfig(max_batch_size=8, cache_size=0, num_shards=num_shards),
-        )
-        try:
-            predictions = service.link_batch(dataset.test)
-            assert_predictions_match(sequential, predictions)
-            for a, b in zip(unsharded.link_batch(dataset.test), predictions):
-                assert a.ranked_entities == b.ranked_entities
-                assert a.scores == b.scores  # bitwise, thread fan-out vs none
-        finally:
-            unsharded.close()
-            service.close()
-
-    def test_weight_refresh_redistributes(self, pipeline, dataset):
-        service = LinkingService(
-            pipeline, ServiceConfig(cache_size=16, num_shards=env_shards(2))
-        )
-        try:
-            service.link_batch(dataset.test[:2])
-            backend = service.sharded
-            param = pipeline.model.parameters()[0]
-            original = param.data.copy()
-            try:
-                param.data = param.data + 0.125
-                assert service.refresh() is True
-                # Same ShardedKB object (partition reused), fresh embeddings.
-                assert service.sharded is backend
-                assert service.stats.publishes == 1
-                expected = pipeline.ref_embeddings()
-                for shard in backend.shards:
-                    assert np.array_equal(shard.h_ref, expected[shard.node_ids])
-                assert_predictions_match(
-                    [pipeline.disambiguate_snippet(s) for s in dataset.test[:2]],
-                    service.link_batch(dataset.test[:2]),
-                )
-            finally:
-                param.data = original
-                pipeline.invalidate_ref_cache()
-        finally:
-            service.close()
-
-
 class TestAsyncLinkingService:
     def test_link_batch_matches_sequential(self, pipeline, dataset, sequential):
         with AsyncLinkingService(
@@ -283,14 +129,6 @@ class TestAsyncLinkingService:
             ServiceConfig(max_batch_size=8, cache_size=0),
             deadline_ms=20.0,
         ) as service:
-            assert_predictions_match(sequential, service.link_batch(dataset.test))
-
-    def test_sharded_async_matches_sequential(self, pipeline, dataset, sequential):
-        inner = LinkingService(
-            pipeline,
-            ServiceConfig(max_batch_size=8, cache_size=0, num_shards=env_shards(2)),
-        )
-        with AsyncLinkingService(inner, deadline_ms=20.0) as service:
             assert_predictions_match(sequential, service.link_batch(dataset.test))
 
     def test_submit_returns_future(self, pipeline, dataset):
@@ -359,8 +197,9 @@ class TestAsyncLinkingService:
         assert second.result(timeout=1.0).ranked_entities == expected.ranked_entities
 
     def test_no_grad_is_thread_local(self):
-        # Shard workers toggle inference mode concurrently; one thread's
-        # no_grad must neither leak into nor be clobbered by another's.
+        # The scheduler's worker toggles inference mode concurrently with
+        # its callers; one thread's no_grad must neither leak into nor be
+        # clobbered by another's.
         import threading
 
         from repro.autograd import is_grad_enabled, no_grad

@@ -2,8 +2,8 @@
 
 Covers the strict ``StorageConfig`` section (standalone and inside
 ``ServiceConfig``), the mmap bundle's bit-exact round trip and
-staleness handling, and the cross-backend equivalence property —
-memory|mmap x 2|4 thread shards all rank exactly like
+staleness handling, and the cross-backend equivalence property — the
+memory and mmap backends both rank exactly like
 ``disambiguate_snippet`` with bitwise-identical scores.
 """
 
@@ -60,12 +60,11 @@ def bundle(pipeline, tmp_path_factory):
     return directory, manifest
 
 
-def make_service(pipeline, kb_store, shards, bundle_path=None):
+def make_service(pipeline, kb_store, bundle_path=None):
     return LinkingService(
         pipeline,
         ServiceConfig(
-            num_shards=shards,
-            storage=StorageConfig(kb_store=kb_store, bundle_path=bundle_path),
+            storage=StorageConfig(kb_store=kb_store, bundle_path=bundle_path)
         ),
     )
 
@@ -239,10 +238,10 @@ class TestBundle:
 class TestCrossBackendEquivalence:
     @pytest.fixture(scope="class")
     def baseline(self, pipeline, dataset):
-        """Predictions from the unsharded memory-backed service, checked
-        once against the sequential oracle; every combo must match them
+        """Predictions from the memory-backed service, checked once
+        against the sequential oracle; every backend must match them
         bitwise."""
-        service = make_service(pipeline, "memory", shards=1)
+        service = make_service(pipeline, "memory")
         try:
             predictions = service.link_batch(dataset.test[:6])
         finally:
@@ -253,11 +252,10 @@ class TestCrossBackendEquivalence:
         return predictions
 
     @pytest.mark.parametrize("kb_store", ["memory", "mmap"])
-    @pytest.mark.parametrize("shards", [2, 4])
     def test_scores_bit_identical_across_backends(
-        self, pipeline, dataset, baseline, kb_store, shards
+        self, pipeline, dataset, baseline, kb_store
     ):
-        service = make_service(pipeline, kb_store, shards)
+        service = make_service(pipeline, kb_store)
         try:
             assert service.kb_store.backend == kb_store
             predictions = service.link_batch(dataset.test[:6])
@@ -282,7 +280,7 @@ class TestCrossBackendEquivalence:
 
         try:
             EDPipeline.ref_embeddings = counting
-            service = make_service(pipeline, "mmap", shards=1, bundle_path=directory)
+            service = make_service(pipeline, "mmap", bundle_path=directory)
         finally:
             EDPipeline.ref_embeddings = original
         try:
@@ -299,12 +297,10 @@ class TestCrossBackendEquivalence:
 # ----------------------------------------------------------------------
 class TestStorageStats:
     def test_stats_carry_the_storage_block(self, pipeline):
-        service = make_service(pipeline, "mmap", shards=1)
+        service = make_service(pipeline, "mmap")
         try:
             payload = service.stats.to_dict()
             assert payload["storage_backend"] == "mmap"
-            for key in ("publishes", "publish_ms"):
-                assert key in payload
             text = service.stats.to_prometheus()
             assert 'storage_info{backend="mmap"} 1' in text
         finally:
