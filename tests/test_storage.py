@@ -4,7 +4,8 @@ Covers the strict ``StorageConfig`` section (standalone and inside
 ``ServiceConfig``), the mmap bundle's bit-exact round trip and
 staleness handling, and the cross-backend equivalence property — the
 memory and mmap backends both rank exactly like
-``disambiguate_snippet`` with bitwise-identical scores.
+``disambiguate_snippet`` with bitwise-identical scores, also when a
+top-2|4 re-link is served from the result cache.
 """
 
 import json
@@ -252,8 +253,9 @@ class TestCrossBackendEquivalence:
         return predictions
 
     @pytest.mark.parametrize("kb_store", ["memory", "mmap"])
+    @pytest.mark.parametrize("top_k", [2, 4])
     def test_scores_bit_identical_across_backends(
-        self, pipeline, dataset, baseline, kb_store
+        self, pipeline, dataset, baseline, kb_store, top_k
     ):
         service = make_service(pipeline, kb_store)
         try:
@@ -262,6 +264,14 @@ class TestCrossBackendEquivalence:
             for expected, actual in zip(baseline, predictions):
                 assert actual.ranked_entities == expected.ranked_entities
                 assert actual.scores == expected.scores  # bitwise, not approx
+            # A narrower top_k re-link is served from the result cache:
+            # the same bits, truncated.
+            hits = service.stats.cache_hits
+            truncated = service.link_batch(dataset.test[:6], top_k=top_k)
+            assert service.stats.cache_hits == hits + 6
+            for expected, actual in zip(baseline, truncated):
+                assert actual.ranked_entities == expected.ranked_entities[:top_k]
+                assert actual.scores == expected.scores[:top_k]
         finally:
             service.close()
 
