@@ -19,7 +19,7 @@ The same server is reachable from the CLI and plain curl:
         --shed-policy wait --max-queue 64      # overload protection
     curl -s localhost:8080/healthz
     curl -s -XPOST localhost:8080/link -d \
-        '{"schema_version": 1, "items": [{"text": "..."}], "top_k": 3}'
+        '{"schema_version": 2, "items": [{"text": "..."}], "top_k": 3}'
     curl -s localhost:8080/stats -H 'Accept: text/plain'   # Prometheus
 
 Run:  PYTHONPATH=src python examples/http_quickstart.py

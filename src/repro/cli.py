@@ -515,16 +515,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.core import GNNExplainer
 
     linker = _load_checkpoint(args.checkpoint)
-    snippet = linker.snippet_from_text(args.text, args.mention)
-    prediction = linker.disambiguate_snippet(snippet, top_k=1)
-    target = prediction.top()
     # The explainer drives engine internals the facade does not wrap.
     pipeline = linker.pipeline
-    query_graph = pipeline.build_query_graphs([snippet])[0]
-    explainer = GNNExplainer(pipeline.model, pipeline.kb, epochs=args.opt_epochs)
-    explanation = explainer.explain(
-        query_graph, target, k_hops=args.hops, top_k=args.top_k
-    )
+    try:
+        snippet = linker.snippet_from_text(args.text, args.mention)
+        target = linker.disambiguate_snippet(snippet, top_k=1).top()
+        query_graph = pipeline.build_query_graphs([snippet])[0]
+        explainer = GNNExplainer(pipeline.model, pipeline.kb, epochs=args.opt_epochs)
+        explanation = explainer.explain(
+            query_graph, target, k_hops=args.hops, top_k=args.top_k
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     print(
         f"match: {explanation.mention_surface!r} -> {explanation.entity_name!r} "
         f"(score {explanation.matching_score:.3f})"

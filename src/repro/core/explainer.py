@@ -21,6 +21,7 @@ from ..autograd import functional as F
 from ..graph.hetero import HeteroGraph
 from ..graph.traversal import ego_subgraph
 from .model import EDGNN
+from .pipeline import check_top_k
 from .query_graph import QueryGraph
 
 
@@ -79,7 +80,9 @@ class GNNExplainer:
         k_hops: int = 2,
         top_k: int = 3,
     ) -> Explanation:
-        """Explain why ``query_graph``'s mention matches ``target_entity``."""
+        """Explain why ``query_graph``'s mention matches ``target_entity``
+        with its ``top_k`` (>= 1) most important ego-network edges."""
+        check_top_k(top_k)
         sub, mapping = ego_subgraph(self.ref_graph, target_entity, k_hops)
         sub_target = mapping[target_entity]
         if sub.num_edges == 0:

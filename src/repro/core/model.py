@@ -214,18 +214,3 @@ class EDGNN(Module):
         negative and recall collapses.
         """
         return F.binary_cross_entropy_with_logits(logits, labels, pos_weight=pos_weight)
-
-    def rank_candidates(
-        self,
-        h_query_row: Tensor,
-        h_ref: Tensor,
-        candidate_ids: np.ndarray,
-    ) -> np.ndarray:
-        """Candidate KB ids sorted by descending matching score (used by
-        the end-to-end linking pipeline)."""
-        candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-        scores = self.matcher.one_vs_many(
-            h_query_row.data.reshape(-1), h_ref.data[candidate_ids]
-        )
-        order = np.argsort(-scores, kind="stable")
-        return candidate_ids[order]

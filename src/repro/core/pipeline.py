@@ -9,11 +9,12 @@ It is the public API the examples and benchmarks drive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..autograd import Tensor, no_grad
+from ..graph.batch import batch_graphs
 from ..graph.hetero import HeteroGraph
 from ..graph.index import InvertedIndex
 from ..text.corpus import MentionAnnotation, Snippet, mint_cui
@@ -35,6 +36,24 @@ class Prediction:
 
     def top(self) -> int:
         return self.ranked_entities[0]
+
+    @classmethod
+    def from_ranking(cls, mention: str, ranking: "Ranking", top_k: int) -> "Prediction":
+        """The first ``top_k`` entries of a :func:`rank` result; only
+        those are turned into Python values."""
+        ranked_ids, ranked_scores = ranking
+        return cls(mention, ranked_ids[:top_k].tolist(), ranked_scores[:top_k].tolist())
+
+
+#: ``(candidate ids, scores)``, best first, as :func:`rank` returns them
+Ranking = Tuple[np.ndarray, np.ndarray]
+
+
+def rank(candidate_ids: np.ndarray, scores: np.ndarray) -> Ranking:
+    """Ranking stage: candidates and their scores sorted by descending
+    score; tied candidates keep their candidate-set order."""
+    order = np.argsort(-scores, kind="stable")
+    return np.asarray(candidate_ids)[order], scores[order]
 
 
 def check_top_k(top_k: int) -> int:
@@ -232,40 +251,56 @@ class EDPipeline:
             augment=self.augment, schema=self.schema,
         )
 
-    def score_candidates(self, qg: QueryGraph, candidate_ids: np.ndarray) -> np.ndarray:
-        """Scoring stage: matching logits of one query graph's "?" node
-        against ``candidate_ids``, global KB node ids scored against the
-        full-KB embedding matrix (same math the trainer uses)."""
-        candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-        self.model.eval()
+    def score_candidates(
+        self,
+        query_graphs: Sequence[QueryGraph],
+        candidate_sets: Sequence[np.ndarray],
+        h_ref: Optional[np.ndarray] = None,
+        x_ref: Optional[np.ndarray] = None,
+    ) -> List[np.ndarray]:
+        """Scoring stage: the matching logits of each query graph's "?"
+        node against its candidate set (global KB node ids), from one
+        forward and one ``score_pairs`` call for the whole batch — the
+        math the trainer uses.
+
+        Union-batchable encoders embed the batch as one disjoint union
+        (it has no cross-graph edges, so message passing never mixes
+        graphs); graph-global encoders (MAGNN/HAN) embed per graph.
+        ``h_ref``/``x_ref`` default to this pipeline's KB embeddings and
+        features.  A batch of one gives the sequential bits; in a larger
+        union the float32 sums may round differently in the last bits.
+        """
+        model = self.model
+        h_ref = self.ref_embeddings() if h_ref is None else h_ref
+        x_ref = self.kb.features if x_ref is None else x_ref
+        lengths = [len(c) for c in candidate_sets]
+        model.eval()
         with no_grad():
-            compiled = self.model.compile(qg.graph)
-            x_qry = Tensor(qg.graph.features)
-            h_qry = self.model.embed(compiled, x_qry)
-            mention_ids = np.full(len(candidate_ids), qg.mention_node, dtype=np.int64)
-            return self.model.score_pairs(
+            if model.encoder.union_batchable:
+                union, offsets = batch_graphs([qg.graph for qg in query_graphs])
+                x_qry = Tensor(union.features)
+                h_qry = model.embed(model.compile(union), x_qry)
+            else:
+                offsets = np.cumsum([0] + [qg.graph.num_nodes for qg in query_graphs[:-1]])
+                x_qry = Tensor(np.vstack([qg.graph.features for qg in query_graphs]))
+                h_qry = Tensor(np.vstack([
+                    model.embed(model.compile(qg.graph), Tensor(qg.graph.features)).data
+                    for qg in query_graphs
+                ]))
+            mention_ids = np.repeat(
+                [offset + qg.mention_node for offset, qg in zip(offsets, query_graphs)],
+                lengths,
+            )
+            ref_ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in candidate_sets])
+            flat = model.score_pairs(
                 h_qry,
                 mention_ids,
-                Tensor(self.ref_embeddings()),
-                candidate_ids,
+                Tensor(h_ref),
+                ref_ids,
                 x_query=x_qry,
-                x_ref=Tensor(self.kb.features),
+                x_ref=Tensor(x_ref),
             ).data
-
-    @staticmethod
-    def prediction_from_scores(
-        surface: str,
-        candidate_ids: np.ndarray,
-        scores: np.ndarray,
-        top_k: int,
-    ) -> Prediction:
-        """Ranking stage: sort scored candidates into a :class:`Prediction`."""
-        order = np.argsort(-scores, kind="stable")[:top_k]
-        return Prediction(
-            mention=surface,
-            ranked_entities=[int(candidate_ids[i]) for i in order],
-            scores=[float(scores[i]) for i in order],
-        )
+        return np.split(flat, np.cumsum(lengths)[:-1])
 
     def disambiguate_snippet(
         self,
@@ -280,10 +315,8 @@ class EDPipeline:
             category=snippet.ambiguous_mention.category,
             restrict_to_candidates=restrict_to_candidates,
         )
-        scores = self.score_candidates(qg, candidate_ids)
-        return self.prediction_from_scores(
-            qg.mention_surface, candidate_ids, scores, top_k
-        )
+        [scores] = self.score_candidates([qg], [candidate_ids])
+        return Prediction.from_ranking(qg.mention_surface, rank(candidate_ids, scores), top_k)
 
     def entity_name(self, entity_id: int) -> str:
         return self.kb.node_name(entity_id)

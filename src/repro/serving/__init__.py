@@ -4,9 +4,11 @@ Wraps a fitted :class:`~repro.core.pipeline.EDPipeline` behind
 :class:`LinkingService`, which serves ``link_batch(snippets)`` and
 ``link_texts(texts)`` with a fingerprinted reference-embedding cache, a
 micro-batch scheduler over disjoint-union forwards, an LRU result cache,
-and :class:`ServiceStats` telemetry.  Every ranking is scored by
-``model.score_pairs`` against the service's ``h_ref``/``x_ref`` and is
-bit-identical to ``EDPipeline.disambiguate_snippet``.  On top of it,
+and :class:`ServiceStats` telemetry.  Every ranking comes from the
+scorer and the ranking ``EDPipeline.disambiguate_snippet`` uses, against
+the service's ``h_ref``/``x_ref``: the rankings are the same, and the
+scores are equal up to float32 rounding of the batched forward (exact
+for a batch of one).  On top of it,
 :class:`AsyncLinkingService` (``scheduler``) accepts requests onto a
 queue and forms micro-batches under a latency deadline.  Where the KB
 matrices live is a separate axis — ``ServiceConfig``'s ``storage``

@@ -1,10 +1,11 @@
 """A small LRU cache for linking results.
 
-Keys are built by the service from the normalised mention surface, the
-candidate id set, and a digest of the query-graph context, so two
-requests share an entry exactly when the model would score them
-identically.  Backed by an ``OrderedDict``; not thread-safe (the service
-is single-threaded, matching the numpy execution model).
+Keys are built by the service from what the query-graph builder and the
+candidate generator read (the snippet's mentions and categories, its
+ambiguous index and the restrict flag), so two requests share an entry
+exactly when the model would score them identically.  Backed by an
+``OrderedDict``; not thread-safe (the service is single-threaded,
+matching the numpy execution model).
 """
 
 from __future__ import annotations

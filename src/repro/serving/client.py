@@ -189,8 +189,10 @@ class LinkerClient:
     def link_batch(
         self, items: Iterable[ItemLike], top_k: Optional[int] = None
     ) -> List[WirePrediction]:
-        """``POST /link``: one prediction per item, in item order,
-        bit-identical to ``LinkingService.link_batch`` on the server."""
+        """``POST /link``: one prediction per item, in item order, as
+        ``LinkingService.link_batch`` on the server returns it: the
+        sequential ranking, with scores equal up to float32 rounding of
+        the server's batched forward."""
         request = LinkRequest(
             items=tuple(_as_item(item) for item in items), top_k=top_k
         )

@@ -11,8 +11,9 @@ the payloads are the typed, schema-versioned wire dataclasses of
 Endpoints:
 
 * ``POST /link`` — a :class:`~repro.serving.wire.LinkRequest` (single
-  snippet or batch); the response's predictions are bit-identical to
-  ``LinkingService.link_batch`` on the same snippets.  Requests from
+  snippet or batch); the response's predictions are what
+  ``LinkingService.link_batch`` returns for them in the micro-batches
+  the scheduler forms (the JSON round trip is exact).  Requests from
   concurrent connections share micro-batches through the wrapped
   :class:`~repro.serving.AsyncLinkingService`.
 * ``POST /link_stream`` — NDJSON bulk jobs: each input line is one

@@ -141,8 +141,10 @@ class AsyncLinkingService:
     """Queue-fronted linking with deadline-bounded micro-batching.
 
     ``submit`` enqueues one snippet and returns a
-    ``concurrent.futures.Future`` resolving to the same ``Prediction``
-    the sequential pipeline would return; ``link_batch`` and
+    ``concurrent.futures.Future`` resolving to the ``Prediction`` of
+    ``LinkingService.link_batch`` on its micro-batch: the sequential
+    pipeline's ranking, with scores equal up to float32 rounding of the
+    batched forward; ``link_batch`` and
     ``link_stream`` are order-preserving conveniences on top.  Accepts a
     fitted :class:`EDPipeline` (a ``LinkingService`` is built from
     ``config``) or an existing ``LinkingService`` (e.g. one serving from

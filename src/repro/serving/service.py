@@ -10,35 +10,36 @@ traffic:
   :mod:`repro.storage`) and reused for every request; a fingerprint over
   the model weights and the KB shape invalidates the cache when either
   changes;
-* the **micro-batch scheduler** — each request's query graphs are packed
-  into disjoint unions of at most ``max_batch_size`` graphs (via
-  :func:`repro.graph.batch.batch_graphs`) and embedded in one forward
-  pass, with all candidate pairs scored by a single ``score_pairs`` call;
-* the **result LRU cache** — rankings are memoised under (normalised
-  surface, candidate set, query-graph digest), so repeat mentions skip
-  the model entirely;
+* the **result LRU cache** — looked up before any work, under what the
+  query-graph builder and the candidate generator read: the snippet's
+  (mention, category) pairs, its ambiguous index and the restrict flag.
+  An entry holds the whole ranking as numpy arrays, so a repeat at any
+  ``top_k`` skips the model entirely;
+* the **micro-batch scheduler** — only the misses build query graphs and
+  generate candidates, and they are scored ``max_batch_size`` at a time
+  by the pipeline's batched scorer
+  (:meth:`~repro.core.pipeline.EDPipeline.score_candidates`: one
+  disjoint-union forward and one ``score_pairs`` call);
 * :class:`~repro.serving.stats.ServiceStats` — throughput, cache hit
   rate, and batch-size telemetry, surfaced by ``repro serve``.
 
-Results are bit-for-bit identical to the sequential pipeline: a disjoint
-union has no cross-graph edges, so message passing never mixes graphs,
-and the scoring math is the same ``score_pairs`` the pipeline uses.
+Rankings are the sequential pipeline's: the scorer and the ranking are
+the ones :meth:`disambiguate_snippet` calls, and a disjoint union has no
+cross-graph edges.  Scores agree up to float32 rounding of the batched
+forward; they are bit-identical for a batch of one, and a cache hit
+returns the bits its entry's first computation stored.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
-from ..core.pipeline import EDPipeline, Prediction, check_top_k
+from ..core.pipeline import EDPipeline, Prediction, Ranking, check_top_k, rank
 from ..core.query_graph import QueryGraph, build_query_graph
-from ..graph.batch import batch_graphs
-from ..graph.index import normalize_surface
 from ..storage import StorageConfig, open_stores
 from ..storage.bundle import content_fingerprint as _content_fingerprint
 from ..storage.bundle import weights_crc as _weights_crc
@@ -190,8 +191,9 @@ class LinkingService:
             self.config.storage, pipeline.kb
         )
         self._fingerprint: Optional[tuple] = None
-        self._h_ref: Optional[Tensor] = None
-        self._x_ref: Optional[Tensor] = None
+        self._generator = pipeline.candidate_generator
+        self._h_ref: Optional[np.ndarray] = None
+        self._x_ref: Optional[np.ndarray] = None
         self.refresh(force=True)
 
     # ------------------------------------------------------------------
@@ -219,7 +221,16 @@ class LinkingService:
 
     def refresh(self, force: bool = False) -> bool:
         """Recompute the reference embeddings if the model or KB changed
-        since they were cached.  Returns True when a rebuild happened."""
+        since they were cached.  Returns True when a rebuild happened.
+
+        Cached results are dropped on a rebuild, and also when the
+        pipeline's candidate generator was swapped
+        (``Linker.use_candidate_generator``): the result-cache key holds
+        what the generator reads, not the generator itself."""
+        generator = self.pipeline.candidate_generator
+        if generator is not self._generator:
+            self._generator = generator
+            self._cache.clear()
         current = self.fingerprint()
         if not force and current == self._fingerprint:
             return False
@@ -233,9 +244,8 @@ class LinkingService:
             )
         # Seed the pipeline's own cache so sequential calls agree (and,
         # with a store-backed matrix, score out of the same bytes).
-        self.pipeline._h_ref = np.asarray(h_ref)
-        self._h_ref = Tensor(h_ref)
-        self._x_ref = Tensor(self._kb_store.features)
+        self.pipeline._h_ref = self._h_ref = np.asarray(h_ref)
+        self._x_ref = self._kb_store.features
         self._fingerprint = current
         self._cache.clear()
         self.stats.record_ref_refresh()
@@ -268,8 +278,10 @@ class LinkingService:
     ) -> List[Prediction]:
         """Link the ambiguous mention of every snippet; order-preserving.
 
-        Equivalent to calling ``disambiguate_snippet`` per snippet, but
-        cache-aware and batched.
+        Ranks as ``disambiguate_snippet`` does, with the same scorer and
+        ranking, but answers from the result cache before any work and
+        scores the misses in batches.  With the cache on, a repeat inside
+        one request joins its pending miss and gets the same ranking.
         """
         top_k = self.config.top_k if top_k is None else check_top_k(top_k)
         restrict = (
@@ -279,91 +291,61 @@ class LinkingService:
         )
         self.refresh()
         caching = self._cache.capacity > 0
-        predictions: List[Optional[Prediction]] = [None] * len(snippets)
-        pending: List[Tuple[int, QueryGraph, np.ndarray, tuple]] = []
-        queued: set = set()  # keys already in `pending` this request
-        deferred: List[Tuple[int, QueryGraph, np.ndarray, tuple]] = []
-        hits = misses = 0
+        rankings: List[Optional[Ranking]] = [None] * len(snippets)
+        pending: Dict[Hashable, List[int]] = {}  # miss key -> snippet indices
+        hits = 0
         for i, snippet in enumerate(snippets):
-            qg = self._build_query_graph(snippet)
-            t0 = perf_counter()
-            candidates = self.pipeline.candidate_ids(
-                qg.mention_surface,
-                category=snippet.ambiguous_mention.category,
-                restrict_to_candidates=restrict,
-            )
-            self.stats.record_candidates(perf_counter() - t0)
-            key = self._cache_key(qg, candidates, restrict) if caching else None
-            cached = self._cache.get(key) if caching else None
-            if cached is not None:
+            # Without the cache every snippet is its own miss.
+            key = self._cache_key(snippet, restrict) if caching else i
+            ranking = self._cache.get(key)
+            if ranking is not None:
+                rankings[i] = ranking
                 hits += 1
-                ranked_ids, ranked_scores = cached
-                predictions[i] = Prediction(
-                    mention=qg.mention_surface,
-                    ranked_entities=ranked_ids[:top_k],
-                    scores=ranked_scores[:top_k],
-                )
-            elif caching and key in queued:
-                # Intra-batch repeat: the identical request is already
-                # queued for computation; serve this copy from the cache
-                # entry that computation will write.
+            elif key in pending:
+                pending[key].append(i)
                 hits += 1
-                deferred.append((i, qg, candidates, key))
             else:
-                misses += 1
-                queued.add(key)
-                pending.append((i, qg, candidates, key))
+                pending[key] = [i]
 
-        for start in range(0, len(pending), self.config.max_batch_size):
-            chunk = pending[start : start + self.config.max_batch_size]
-            t0 = perf_counter()
-            scored = self._score_chunk([qg for _, qg, _, _ in chunk],
-                                       [cands for _, _, cands, _ in chunk])
-            self.stats.record_batch(len(chunk), perf_counter() - t0)
-            for (i, qg, candidates, key), scores in zip(chunk, scored):
-                order = np.argsort(-scores, kind="stable")
-                ranked_ids = [int(candidates[j]) for j in order]
-                ranked_scores = [float(scores[j]) for j in order]
-                self._cache.put(key, (ranked_ids, ranked_scores))
-                predictions[i] = Prediction(
-                    mention=qg.mention_surface,
-                    ranked_entities=ranked_ids[:top_k],
-                    scores=ranked_scores[:top_k],
-                )
-
-        for i, qg, candidates, key in deferred:
-            value = self._cache.get(key)
-            if value is None:
-                # The entry was evicted within this request (cache smaller
-                # than the request); recompute this one directly — and
-                # account it as the miss + forward pass it really is.
+        misses = list(pending.items())
+        for start in range(0, len(misses), self.config.max_batch_size):
+            chunk = misses[start : start + self.config.max_batch_size]
+            query_graphs, candidate_sets = [], []
+            for _, indices in chunk:
+                snippet = snippets[indices[0]]
+                qg = self._build_query_graph(snippet)
                 t0 = perf_counter()
-                [scores] = self._score_chunk([qg], [candidates])
-                self.stats.record_batch(1, perf_counter() - t0)
-                hits -= 1
-                misses += 1
-                order = np.argsort(-scores, kind="stable")
-                value = (
-                    [int(candidates[j]) for j in order],
-                    [float(scores[j]) for j in order],
+                candidates = self.pipeline.candidate_ids(
+                    qg.mention_surface,
+                    category=snippet.ambiguous_mention.category,
+                    restrict_to_candidates=restrict,
                 )
-                self._cache.put(key, value)
-            ranked_ids, ranked_scores = value
-            predictions[i] = Prediction(
-                mention=qg.mention_surface,
-                ranked_entities=ranked_ids[:top_k],
-                scores=ranked_scores[:top_k],
+                self.stats.record_candidates(perf_counter() - t0)
+                query_graphs.append(qg)
+                candidate_sets.append(candidates)
+            t0 = perf_counter()
+            scored = self.pipeline.score_candidates(
+                query_graphs, candidate_sets, self._h_ref, self._x_ref
             )
+            self.stats.record_batch(len(chunk), perf_counter() - t0)
+            for (key, indices), candidates, scores in zip(chunk, candidate_sets, scored):
+                ranking = rank(candidates, scores)
+                self._cache.put(key, ranking)
+                for i in indices:
+                    rankings[i] = ranking
 
         self.stats.record_request(len(snippets))
-        self.stats.record_cache(hits, misses)
+        self.stats.record_cache(hits, len(misses))
         generator = self.pipeline.candidate_generator
         self.stats.record_candidate_sources(
             getattr(generator, "name", type(generator).__name__),
             getattr(generator, "index_hits", 0),
             getattr(generator, "fallback_hits", 0),
         )
-        return predictions  # type: ignore[return-value]
+        return [
+            Prediction.from_ranking(snippet.ambiguous_mention.mention, ranking, top_k)
+            for snippet, ranking in zip(snippets, rankings)
+        ]
 
     def link_texts(
         self,
@@ -398,71 +380,15 @@ class LinkingService:
             schema=pipeline.schema,
         )
 
-    def _cache_key(self, qg: QueryGraph, candidates: np.ndarray, restrict: bool) -> tuple:
-        """(surface, candidate set, context digest): two requests share an
-        entry only when the model would score them identically, so caching
-        never changes results — the digest covers the query graph's
-        features (mention surfaces) and typed edge structure."""
-        graph = qg.graph
-        digest = hashlib.sha1()
-        if graph.features is not None:
-            digest.update(np.ascontiguousarray(graph.features).tobytes())
-        src, dst, et = graph.edges()
-        digest.update(src.tobytes())
-        digest.update(dst.tobytes())
-        digest.update(et.tobytes())
-        digest.update(np.int64(qg.mention_node).tobytes())
+    @staticmethod
+    def _cache_key(snippet: Snippet, restrict: bool) -> tuple:
+        """Everything the query-graph builder and the candidate generator
+        read from a request, so two requests share an entry only when
+        they would be scored identically.  The weights, the KB and the
+        generator are not in it: :meth:`refresh` clears the cache when
+        any of them changes."""
         return (
-            normalize_surface(qg.mention_surface),
-            candidates.tobytes(),
-            digest.digest(),
+            tuple((m.mention, m.category) for m in snippet.mentions),
+            snippet.ambiguous_index,
             restrict,
         )
-
-    def _score_chunk(
-        self,
-        query_graphs: Sequence[QueryGraph],
-        candidate_sets: Sequence[np.ndarray],
-    ) -> List[np.ndarray]:
-        """One batched forward + one score_pairs call for a chunk.
-
-        Union-batchable encoders embed the whole chunk as one disjoint
-        union; graph-global encoders (MAGNN/HAN) embed per graph, and
-        only the pair scoring is batched — results are identical to the
-        sequential pipeline either way.
-        """
-        model = self.pipeline.model
-        lengths = [len(c) for c in candidate_sets]
-        model.eval()
-        with no_grad():
-            if model.encoder.union_batchable:
-                union, offsets = batch_graphs([qg.graph for qg in query_graphs])
-                compiled = model.compile(union)
-                x_qry = Tensor(union.features)
-                h_qry = model.embed(compiled, x_qry)
-            else:
-                offsets = list(np.cumsum([0] + [qg.graph.num_nodes for qg in query_graphs[:-1]]))
-                x_parts = [qg.graph.features for qg in query_graphs]
-                h_parts = [
-                    model.embed(model.compile(qg.graph), Tensor(qg.graph.features)).data
-                    for qg in query_graphs
-                ]
-                x_qry = Tensor(np.vstack(x_parts))
-                h_qry = Tensor(np.vstack(h_parts))
-            mention_ids = np.concatenate([
-                np.full(n, offsets[j] + query_graphs[j].mention_node, dtype=np.int64)
-                for j, n in enumerate(lengths)
-            ])
-            ref_ids = np.concatenate([
-                np.asarray(c, dtype=np.int64) for c in candidate_sets
-            ])
-            flat = model.score_pairs(
-                h_qry,
-                mention_ids,
-                self._h_ref,
-                ref_ids,
-                x_query=x_qry,
-                x_ref=self._x_ref,
-            ).data
-        bounds = np.cumsum([0] + lengths)
-        return [flat[bounds[j] : bounds[j + 1]] for j in range(len(lengths))]

@@ -13,7 +13,7 @@ CLI's ``--json``) or a small aligned table (for humans).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List
 
 import numpy as np
@@ -305,23 +305,7 @@ class ServiceStats:
         return "\n".join(lines) + "\n"
 
     def reset(self) -> None:
-        self.requests = 0
-        self.mentions = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.batches = 0
-        self.batched_mentions = 0
-        self.largest_batch = 0
-        self.ref_refreshes = 0
-        self.compute_seconds = 0.0
-        self.storage_backend = "memory"
-        self.candidate_generator = "exact"
-        self.candidate_lookups = 0
-        self.candidate_seconds = 0.0
-        self.candidate_index_hits = 0
-        self.candidate_fallbacks = 0
-        self.admitted = {}
-        self.shed = {}
-        self.latencies_ms = deque(maxlen=LATENCY_WINDOW)
-        self.queue_waits_ms = deque(maxlen=LATENCY_WINDOW)
-        self.candidate_ms = deque(maxlen=LATENCY_WINDOW)
+        """Every field back to its declared default."""
+        fresh = ServiceStats()
+        for f in fields(self):
+            setattr(self, f.name, getattr(fresh, f.name))

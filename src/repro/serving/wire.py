@@ -36,7 +36,6 @@ from .admission import DEFAULT_PRIORITY, PRIORITIES
 
 __all__ = [
     "WIRE_SCHEMA_VERSION",
-    "ACCEPTED_SCHEMA_VERSIONS",
     "WireError",
     "LinkItem",
     "LinkRequest",
@@ -47,11 +46,10 @@ __all__ = [
 ]
 
 #: bump when the wire JSON layout changes incompatibly; v2 added the
-#: optional per-item ``priority`` and ``ErrorResponse.retry_after_ms``
-#: (both defaulted, so every v1 payload is also a valid v2 payload and
-#: v1 requests stay accepted)
+#: optional per-item ``priority`` and ``ErrorResponse.retry_after_ms``.
+#: Only this version is accepted: any other is a structured 400
+#: ``unsupported_schema_version``.
 WIRE_SCHEMA_VERSION = 2
-ACCEPTED_SCHEMA_VERSIONS = (1, 2)
 
 
 class WireError(ValueError):
@@ -86,10 +84,10 @@ def _object(payload, where: str) -> dict:
 
 def _check_version(payload: dict, where: str) -> None:
     version = payload.get("schema_version")
-    if version not in ACCEPTED_SCHEMA_VERSIONS:
+    if version != WIRE_SCHEMA_VERSION:
         raise WireError(
             f"unsupported {where} schema_version {version!r} "
-            f"(expected one of {ACCEPTED_SCHEMA_VERSIONS})",
+            f"(expected {WIRE_SCHEMA_VERSION})",
             code="unsupported_schema_version",
         )
 

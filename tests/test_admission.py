@@ -228,10 +228,11 @@ class TestWireV2:
         with pytest.raises(WireError, match="priority"):
             LinkItem.from_dict({"text": "a", "priority": 3})
 
-    def test_v1_requests_still_accepted(self):
+    def test_v1_requests_rejected(self):
         payload = {"schema_version": 1, "items": [{"text": "a"}]}
-        request = LinkRequest.from_dict(payload)
-        assert request.items[0].priority == "normal"
+        with pytest.raises(WireError, match="schema_version 1") as info:
+            LinkRequest.from_dict(payload)
+        assert (info.value.code, info.value.status) == ("unsupported_schema_version", 400)
 
     def test_retry_after_round_trip(self):
         error = ErrorResponse("overloaded", "shed", retry_after_ms=125.5)

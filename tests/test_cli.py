@@ -132,6 +132,17 @@ class TestTrainAndLink:
         out = capsys.readouterr().out
         assert "match:" in out
 
+    @pytest.mark.parametrize("text,extra,message", [
+        (SNIPPET_TEXT, ["--top-k", "0"], "top_k must be >= 1"),
+        (SNIPPET_TEXT, ["--top-k", "-1"], "top_k must be >= 1"),
+        ("nothing to see here", [], "NER found no entity mentions"),
+    ], ids=["top-k-0", "top-k-minus-1", "no-mention"])
+    def test_explain_rejects_bad_input(self, checkpoint, text, extra, message):
+        with pytest.raises(SystemExit, match=message) as info:
+            main(["explain", "--checkpoint", checkpoint, "--text", text,
+                  "--opt-epochs", "2", *extra])
+        assert "\n" not in str(info.value.code)
+
 
 class TestServe:
     def test_dataset_split_with_stats(self, checkpoint, capsys):

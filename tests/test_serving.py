@@ -1,19 +1,24 @@
 """Tests for the batched linking service (repro.serving).
 
 Covers batch-vs-sequential result equivalence (the service must return
-exactly what ``EDPipeline.disambiguate_snippet`` returns), the result
-LRU cache (hits, context sensitivity, invalidation), ``top_k``
-validation, the stats counters, and the vectorised matcher fast paths
-the service relies on.
+the rankings ``EDPipeline.disambiguate_snippet`` returns, with scores
+equal up to float32 rounding), the result LRU cache (hits before any
+work, context sensitivity, invalidation), ``top_k`` validation, the
+stats counters, and the matchers' closed forms.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.core import EDPipeline, ModelConfig, TrainConfig, make_matcher
+from repro.api import Linker
+from repro.core import EDPipeline, ModelConfig, Prediction, TrainConfig, make_matcher
+from repro.core.pipeline import rank
 from repro.autograd import Tensor
 from repro.datasets import load_dataset
 from repro.serving import LinkingService, LRUCache, ServiceConfig, ServiceStats
+from repro.serving import service as service_module
 from repro.text.corpus import Snippet
 
 SCALE = 0.2
@@ -37,6 +42,11 @@ def pipeline(dataset):
 
 def assert_equivalent(service, pipeline, snippets, top_k=5, restrict=True):
     batched = service.link_batch(snippets, top_k=top_k, restrict_to_candidates=restrict)
+    assert_matches_sequential(batched, pipeline, snippets, top_k, restrict)
+
+
+def assert_matches_sequential(batched, pipeline, snippets, top_k=5, restrict=True):
+    assert len(batched) == len(snippets)
     for snippet, batch_pred in zip(snippets, batched):
         seq_pred = pipeline.disambiguate_snippet(
             snippet, top_k=top_k, restrict_to_candidates=restrict
@@ -176,20 +186,67 @@ class TestResultCache:
         assert service.refresh() is True
 
     def test_deferred_eviction_fallback_accounting(self, pipeline, dataset):
-        # Capacity 1: the duplicate's entry is evicted before the deferred
-        # loop runs, forcing a recompute that must count as a miss and a
-        # recorded batch — not a phantom cache hit.
+        # Capacity 1: b's entry evicts a's inside the request, but the
+        # repeat of a joined a's pending miss, so it is a hit that needs
+        # no entry and no re-score: one batch of the two misses.
         a, b = dataset.test[0], dataset.test[1]
         service = LinkingService(
             pipeline, ServiceConfig(max_batch_size=8, cache_size=1)
         )
         results = service.link_batch([a, a, b])
-        assert service.stats.cache_hits == 0
-        assert service.stats.cache_misses == 3
+        assert service.stats.cache_hits == 1
+        assert service.stats.cache_misses == 2
         stats = service.stats
-        assert (stats.batches, stats.batched_mentions, stats.max_batch_size) == (2, 3, 2)
-        assert results[0].ranked_entities == results[1].ranked_entities
-        assert_equivalent(service, pipeline, [a, b])
+        assert (stats.batches, stats.batched_mentions, stats.max_batch_size) == (1, 2, 2)
+        assert results[0] == results[1]
+        assert_matches_sequential(results, pipeline, [a, a, b])
+
+    def test_hit_skips_query_graph_and_candidates(self, pipeline, dataset, monkeypatch):
+        # The key holds what the builder and the generator read, so a hit
+        # is answered before either runs.
+        snippets = dataset.test[:4]
+        service = LinkingService(pipeline, ServiceConfig(cache_size=512))
+        first = service.link_batch(snippets)
+        calls = []
+        monkeypatch.setattr(
+            service_module, "build_query_graph", lambda *a, **k: calls.append("build")
+        )
+        monkeypatch.setattr(
+            pipeline, "candidate_ids", lambda *a, **k: calls.append("candidates")
+        )
+        assert service.link_batch(snippets) == first
+        assert calls == []
+        assert service.stats.cache_hits == len(snippets)
+
+    def test_larger_top_k_is_served_from_the_cache(self, pipeline, dataset):
+        # An entry holds the whole ranking, so asking for more of it is a
+        # hit; batches of one keep the sequential bits.
+        snippets = dataset.test[:6]
+        service = LinkingService(
+            pipeline, ServiceConfig(max_batch_size=1, cache_size=512)
+        )
+        service.link_batch(snippets, top_k=3)
+        predictions = service.link_batch(snippets, top_k=8)
+        assert service.stats.cache_hits == len(snippets)
+        assert predictions == [
+            pipeline.disambiguate_snippet(snippet, top_k=8) for snippet in snippets
+        ]
+
+    def test_generator_swap_invalidates(self, dataset):
+        # The generator is not in the key, so swapping it on a live
+        # service must drop the rankings its predecessor produced.
+        pipe = EDPipeline(
+            dataset.kb, model_config=ModelConfig(variant="graphsage", num_layers=1, seed=0)
+        )
+        linker = Linker(pipe)
+        snippets = dataset.test[:8]
+        service = LinkingService(linker, ServiceConfig(cache_size=64))
+        before = service.link_batch(snippets)
+        linker.use_candidate_generator("fuzzy")
+        after = service.link_batch(snippets)
+        assert service.stats.cache_hits == 0
+        assert [p.ranked_entities for p in after] != [p.ranked_entities for p in before]
+        assert_matches_sequential(after, pipe, snippets)
 
     def test_refresh_noop_when_unchanged(self, pipeline):
         service = LinkingService(pipeline, ServiceConfig(cache_size=512))
@@ -236,9 +293,17 @@ class TestStats:
         payload = stats.to_dict()
         assert payload["cache_hit_rate"] == 0.0
         assert "mentions_per_second" in stats.format()
+        stats.record_latency(0.01, 0.002)
+        stats.record_admission("high")
+        stats.record_shed("low")
         stats.reset()
         assert stats.mentions == 0 and stats.batches == 0
         assert stats.batched_mentions == 0 and stats.max_batch_size == 0
+        fresh = ServiceStats()
+        # Deques compare by content.
+        assert {f.name: getattr(stats, f.name) for f in fields(stats)} == {
+            f.name: getattr(fresh, f.name) for f in fields(fresh)
+        }
 
     def test_batch_telemetry_stays_exact_and_bounded(self):
         # A long-lived server records one batch per forward pass; the
@@ -341,12 +406,12 @@ class TestStagedPipelineAPI:
         assert len(everything) == pipeline.kb.num_nodes
 
     def test_score_candidates_shape(self, pipeline, dataset):
-        qg = pipeline.build_query_graph_for(dataset.test[0])
-        candidates = pipeline.candidate_ids(qg.mention_surface)
-        scores = pipeline.score_candidates(qg, candidates)
-        assert scores.shape == (len(candidates),)
-        prediction = pipeline.prediction_from_scores(
-            qg.mention_surface, candidates, scores, top_k=3
-        )
+        query_graphs = [pipeline.build_query_graph_for(s) for s in dataset.test[:3]]
+        candidate_sets = [pipeline.candidate_ids(qg.mention_surface) for qg in query_graphs]
+        scored = pipeline.score_candidates(query_graphs, candidate_sets)
+        assert [s.shape for s in scored] == [(len(c),) for c in candidate_sets]
+        ranking = rank(candidate_sets[0], scored[0])
+        assert sorted(ranking[0].tolist()) == sorted(candidate_sets[0].tolist())
+        prediction = Prediction.from_ranking(query_graphs[0].mention_surface, ranking, top_k=3)
         assert len(prediction.ranked_entities) <= 3
-        assert prediction.scores == sorted(prediction.scores, reverse=True)
+        assert prediction.scores == sorted(scored[0].tolist(), reverse=True)[:3]

@@ -86,7 +86,7 @@ class TestWireSchema:
             LinkItem(mention="m")  # mention without text
 
     def test_unknown_keys_rejected(self):
-        payload = {"schema_version": 1, "items": [{"text": "a"}], "topk": 3}
+        payload = {"schema_version": 2, "items": [{"text": "a"}], "topk": 3}
         with pytest.raises(WireError, match="unknown link request keys"):
             LinkRequest.from_dict(payload)
 
@@ -98,7 +98,7 @@ class TestWireSchema:
 
     def test_empty_items_rejected(self):
         with pytest.raises(WireError, match="no items"):
-            LinkRequest.from_dict({"schema_version": 1, "items": []})
+            LinkRequest.from_dict({"schema_version": 2, "items": []})
 
     def test_bad_top_k_rejected(self):
         for bad in (0, -1, True, "3"):
@@ -227,7 +227,7 @@ class TestLinkEndpoint:
 
     def test_unknown_key_is_400(self, server):
         payload = json.dumps(
-            {"schema_version": 1, "items": [{"text": SNIPPET_TEXT}], "topk": 1}
+            {"schema_version": 2, "items": [{"text": SNIPPET_TEXT}], "topk": 1}
         )
         status, _, body = raw_request(server, "POST", "/link", body=payload)
         assert status == 400
@@ -270,7 +270,7 @@ class TestOversized:
         config = HttpConfig(port=0, max_body_bytes=1024)
         with LinkingHTTPServer(pipeline, config) as server:
             big = json.dumps(
-                {"schema_version": 1, "items": [{"text": "x" * 2048}]}
+                {"schema_version": 2, "items": [{"text": "x" * 2048}]}
             ).encode()
             status, _, body = raw_request(server, "POST", "/link", body=big)
         assert status == 413
