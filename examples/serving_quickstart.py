@@ -10,7 +10,7 @@ percentiles alongside the service stats.
 
 A final pair of sections packs the KB into an mmap bundle
 (:func:`repro.storage.pack_bundle`) and serves from it with
-``StorageConfig(kb_store="mmap")`` — startup memory-maps the feature and
+``linker.serve(bundle_path=...)`` — startup memory-maps the feature and
 embedding matrices instead of recomputing them, and N serving processes
 on one host share a single page-cached copy — then packs a sublinear
 candidate-retrieval index into the same bundle and serves typo'd
@@ -39,7 +39,7 @@ from repro.core import ModelConfig, TrainConfig
 from repro.datasets import load_dataset
 from repro.retrieval import build_retrieval_index
 from repro.serving import ServiceConfig
-from repro.storage import StorageConfig, pack_bundle
+from repro.storage import pack_bundle
 from repro.text.corpus import Snippet
 from repro.text.variants import make_typo
 
@@ -122,19 +122,16 @@ def main() -> None:
             f"p95 queue wait {stats.queue_wait_percentile(95):.1f}ms"
         )
 
-    # 8. Pluggable KB storage: `repro kb pack` (here: pack_bundle) writes
+    # 8. The packed KB bundle: `repro kb pack` (here: pack_bundle) writes
     #    the feature + reference-embedding matrices as .npy files with a
-    #    fingerprinted manifest.  Serving from the bundle with
-    #    kb_store="mmap" memory-maps both matrices read-only — startup
-    #    skips the KB embedding forward entirely, and every serving
-    #    process on the host shares one page-cached copy.  Rankings stay
-    #    bit-identical to every other configuration.
+    #    fingerprinted manifest.  Serving with bundle_path= memory-maps
+    #    both matrices read-only — startup skips the KB embedding forward
+    #    entirely, and every serving process on the host shares one
+    #    page-cached copy.  Rankings stay bit-identical to serving the
+    #    live arrays.
     with tempfile.TemporaryDirectory() as bundle:
         pack_bundle(linker.pipeline, bundle)
-        mmap_service = linker.serve(
-            cache_size=0,
-            storage=StorageConfig(kb_store="mmap", bundle_path=bundle),
-        )
+        mmap_service = linker.serve(cache_size=0, bundle_path=bundle)
         try:
             mmap_predictions = mmap_service.link_batch(dataset.test)
             assert [p.ranked_entities for p in mmap_predictions] == [

@@ -8,9 +8,9 @@ components (candidate generator, NER, embedder — see
 :mod:`repro.api.registry`) and their kwargs.  The ``retrieval`` section
 (:class:`~repro.retrieval.RetrievalConfig`) shapes the sublinear
 n-gram shortlist index the ``"indexed"`` candidate generator uses; the
-generator name itself defaults from ``REPRO_CANDIDATES``.  The service
-section covers the full serving surface: batching, caching, storage,
-admission, and the HTTP front door
+generator itself defaults to ``"exact"``.  The service section covers
+the full serving surface: batching, caching, the KB bundle to serve
+from, admission, and the HTTP front door
 (``ServiceConfig(http=HttpConfig(port=8080))`` declares the server
 ``Linker.serve(http_port=...)`` starts).  ``to_json``/``from_json`` round-trip
 exactly, the payload is schema-versioned, and parsing is strict: unknown
@@ -35,20 +35,21 @@ from ..core.serialization import (
 )
 from ..core.model import ModelConfig
 from ..core.trainer import TrainConfig
-from ..retrieval.base import RetrievalConfig, default_candidate_generator
+from ..retrieval.base import RetrievalConfig
 from ..serving.service import ServiceConfig
 from .registry import CANDIDATE_GENERATORS, EMBEDDERS, ENCODERS, NERS
 
 __all__ = ["LinkerConfig", "CONFIG_SCHEMA_VERSION"]
 
 #: bump when the JSON layout changes incompatibly
-CONFIG_SCHEMA_VERSION = 4
+CONFIG_SCHEMA_VERSION = 5
 
 #: keys of each earlier schema version that the next version removed:
 #: version 2 dropped the process shard backend and its shared-memory
 #: payloads, version 3 the LSH retrieval backend and the adaptive
 #: admission tuner, version 4 the thread shards and the ``.npz``
-#: reference-embedding cache
+#: reference-embedding cache, version 5 the ``storage`` section (a
+#: bundle path alone selects the mmap bundle)
 _REMOVED_KEYS = {
     1: (
         "service.shard_backend",
@@ -72,7 +73,14 @@ _REMOVED_KEYS = {
         "service.num_shards",
         "service.ref_cache_path",
     ),
+    4: (
+        "service.storage.kb_store",
+        "service.storage.bundle_path",
+    ),
 }
+
+#: removed keys whose setting lives on under a new name
+_MOVED_KEYS = {"service.storage.bundle_path": "service.bundle_path"}
 
 _TOP_LEVEL_KEYS = frozenset(
     {
@@ -117,9 +125,7 @@ class LinkerConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     augment_query_graphs: bool = True
-    # Defaults from REPRO_CANDIDATES so CI can run the whole suite under
-    # a different generator (mirrors REPRO_KB_STORE).
-    candidate_generator: str = field(default_factory=default_candidate_generator)
+    candidate_generator: str = "exact"
     candidate_generator_kwargs: dict = field(default_factory=dict)
     ner: str = "dictionary"
     ner_kwargs: dict = field(default_factory=dict)
@@ -198,11 +204,16 @@ class LinkerConfig:
                 if since >= version
                 for key in _REMOVED_KEYS[since]
             ]
+            moved = "".join(
+                f" (a {old} value now lives at {new})"
+                for old, new in _MOVED_KEYS.items()
+                if old in removed
+            )
             raise ValueError(
                 f"LinkerConfig schema_version {version} is no longer accepted: "
                 f"the keys removed since version {version} are "
-                f"{', '.join(removed)}; delete them and set schema_version "
-                f"to {CONFIG_SCHEMA_VERSION}"
+                f"{', '.join(removed)}; delete them{moved} and set "
+                f"schema_version to {CONFIG_SCHEMA_VERSION}"
             )
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(

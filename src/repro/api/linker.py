@@ -254,7 +254,6 @@ class Linker:
     def serve(
         self,
         async_: bool = False,
-        storage=None,
         admission=None,
         deadline_ms: Optional[float] = None,
         http_port: Optional[int] = None,
@@ -271,13 +270,12 @@ class Linker:
         flushes a micro-batch once it is full or its oldest request has
         waited ``deadline_ms`` (default 25 ms).
 
-        ``storage`` picks where the KB matrices live
-        (:class:`~repro.storage.StorageConfig`, its dict form, or just a
-        backend name) — ``linker.serve(storage="mmap")`` serves both
-        matrices as read-only memory maps of a packed bundle, and
-        ``storage=StorageConfig(kb_store="mmap", bundle_path=...)``
-        reuses a ``repro kb pack`` bundle so startup skips the embedding
-        forward entirely.
+        ``bundle_path`` is one of those fields:
+        ``linker.serve(bundle_path=DIR)`` serves both KB matrices as
+        read-only memory maps of a ``repro kb pack`` bundle, so startup
+        skips the embedding forward while the packed ``h_ref`` matches
+        the weights (a directory holding no bundle is packed on start).
+        Without it the service serves the pipeline's live arrays.
 
         ``admission`` sets the overload policy of the async scheduler
         (:class:`~repro.serving.AdmissionConfig`, its dict form, or just
@@ -299,25 +297,13 @@ class Linker:
                 client.link(text="...")
             server.close()
 
-        Async services and HTTP servers are context managers; close them
-        to drain the queue.
+        A bind error propagates after the service is released.  Async
+        services and HTTP servers are context managers; close them to
+        drain the queue.
         """
         from ..serving import AsyncLinkingService, HttpConfig, LinkingHTTPServer, LinkingService
 
         service_config = self._config.service
-        if storage is not None:
-            from ..storage import StorageConfig
-
-            if isinstance(storage, str):
-                storage = StorageConfig(kb_store=storage)
-            elif isinstance(storage, dict):
-                storage = StorageConfig(**storage)
-            elif not isinstance(storage, StorageConfig):
-                raise ValueError(
-                    "storage must be a StorageConfig, its dict form, "
-                    "or a backend name"
-                )
-            overrides["storage"] = storage
         if admission is not None:
             from ..serving import AdmissionConfig
 
@@ -333,7 +319,7 @@ class Linker:
             overrides["admission"] = admission
         if overrides:
             service_config = replace(service_config, **overrides)
-        service = LinkingService(self.pipeline, service_config)
+        http_config = None
         if http_port is not None:
             base = service_config.http or HttpConfig()
             http_config = replace(
@@ -342,10 +328,17 @@ class Linker:
                 host=http_host if http_host is not None else base.host,
                 deadline_ms=deadline_ms if deadline_ms is not None else base.deadline_ms,
             )
-            async_service = AsyncLinkingService(
-                service, deadline_ms=http_config.deadline_ms
+        service = LinkingService(self.pipeline, service_config)
+        if http_config is not None:
+            server = LinkingHTTPServer(
+                AsyncLinkingService(service, deadline_ms=http_config.deadline_ms),
+                http_config,
             )
-            return LinkingHTTPServer(async_service, http_config).start()
+            try:
+                return server.start()
+            except BaseException:
+                server.close()
+                raise
         if async_:
             return AsyncLinkingService(
                 service, deadline_ms=25.0 if deadline_ms is None else deadline_ms

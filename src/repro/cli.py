@@ -112,8 +112,6 @@ def _linker_config(args: argparse.Namespace, dataset_name: Optional[str] = None)
     epochs = args.epochs or int(os.environ.get("REPRO_EPOCHS", "80"))
     extra = {}
     if getattr(args, "fuzzy", False):
-        # Only name a generator when a flag asks for one: the config's
-        # default honours the REPRO_CANDIDATES environment override.
         extra["candidate_generator"] = "fuzzy"
     return LinkerConfig(
         model=ModelConfig(variant=variant, num_layers=layers, seed=args.seed),
@@ -307,12 +305,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stdin stream, through the :mod:`repro.serving` service.  ``--async``
     routes requests through the deadline scheduler, and ``--http PORT``
     serves the network front door instead of reading local input;
-    surfaces ServiceStats."""
-    from repro.serving import AsyncLinkingService
-
+    surfaces ServiceStats.  Every frontend comes from ``Linker.serve``,
+    so the checkpoint's ``service`` section applies wherever a flag is
+    not given."""
     linker = _load_checkpoint(args.checkpoint)
+    overrides = {
+        field: value
+        for field, value in (
+            ("max_batch_size", args.batch_size),
+            ("cache_size", args.cache_size),
+            ("top_k", args.top_k),
+            ("bundle_path", args.kb_bundle),
+        )
+        if value is not None
+    }
     try:
-        if args.deadline_ms <= 0:
+        if args.deadline_ms is not None and args.deadline_ms <= 0:
             raise ValueError("--deadline-ms must be > 0")
         if args.candidates is not None:
             retrieval = None
@@ -326,14 +334,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     linker.config.retrieval, bundle_path=args.kb_bundle
                 )
             linker.use_candidate_generator(args.candidates, retrieval=retrieval)
-        storage = None
-        kb_store = args.kb_store
-        if kb_store is None and args.kb_bundle is not None:
-            kb_store = "mmap"  # a bundle path implies the mmap backend
-        if kb_store is not None:
-            from repro.storage import StorageConfig
-
-            storage = StorageConfig(kb_store=kb_store, bundle_path=args.kb_bundle)
         admission = None
         if args.shed_policy is not None or args.max_queue is not None:
             from repro.serving import AdmissionConfig
@@ -344,32 +344,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.max_queue is not None:
                 fields["max_queue"] = args.max_queue
             admission = AdmissionConfig(**fields)
-        service = linker.serve(
-            max_batch_size=args.batch_size,
-            cache_size=args.cache_size,
-            top_k=args.top_k,
-            storage=storage,
+        frontend = linker.serve(
+            async_=args.use_async,
             admission=admission,
+            deadline_ms=args.deadline_ms,
+            http_port=args.http,
+            http_host=args.host,
+            **overrides,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    except OSError as exc:
+        if args.http is None:
+            raise
+        # Linker.serve has released the service of the unbound server.
+        from repro.serving import HttpConfig
+
+        host = args.host or (linker.config.service.http or HttpConfig()).host
+        raise SystemExit(f"cannot bind http://{host}:{args.http}: {exc}") from None
 
     if args.http is not None:
-        from repro.serving import HttpConfig, LinkingHTTPServer
-
-        try:
-            server = LinkingHTTPServer(
-                service,
-                HttpConfig(host=args.host, port=args.http, deadline_ms=args.deadline_ms),
-            )
-        except ValueError as exc:
-            service.close()
-            raise SystemExit(str(exc)) from None
-        try:
-            server.start()
-        except OSError as exc:
-            server.close()
-            raise SystemExit(f"cannot bind http://{args.host}:{args.http}: {exc}") from None
+        server = frontend
         print(f"serving on http://{server.host}:{server.port}", flush=True)
         try:
             _http_wait(server)
@@ -414,15 +409,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 linker, sys.stdin, "stdin", args.limit, on_error=report_bad_line
             )
             if args.use_async:
-                with AsyncLinkingService(service, deadline_ms=args.deadline_ms) as async_service:
-                    for prediction in async_service.link_stream(snippets):
-                        emit(prediction)
-                        served += 1
+                for prediction in frontend.link_stream(snippets):
+                    emit(prediction)
+                    served += 1
             else:
                 from itertools import islice
 
-                while chunk := list(islice(snippets, args.batch_size)):
-                    for prediction in service.link_batch(chunk, top_k=args.top_k):
+                # The checkpoint's batch size unless --batch-size is given.
+                batch = frontend.config.max_batch_size
+                while chunk := list(islice(snippets, batch)):
+                    for prediction in frontend.link_batch(chunk):
                         emit(prediction)
                     served += len(chunk)
         else:
@@ -441,25 +437,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 snippets = list(split)[: args.limit]
             if not snippets:
                 raise SystemExit("no snippets to link")
-            if args.use_async:
-                with AsyncLinkingService(service, deadline_ms=args.deadline_ms) as async_service:
-                    predictions = async_service.link_batch(snippets)
-            else:
-                predictions = service.link_batch(snippets, top_k=args.top_k)
-            for prediction in predictions:
+            for prediction in frontend.link_batch(snippets):
                 emit(prediction)
             served = len(snippets)
     finally:
-        service.close()
+        frontend.close()
 
     if served == 0:
         raise SystemExit("no snippets to link")
     if args.stats:
         if args.json:
-            print(json.dumps({"stats": service.stats.to_dict()}), flush=streaming)
+            print(json.dumps({"stats": frontend.stats.to_dict()}), flush=streaming)
         else:
             print(flush=streaming)
-            print(service.stats.format(), flush=streaming)
+            print(frontend.stats.format(), flush=streaming)
     return 0
 
 
@@ -467,8 +458,8 @@ def _cmd_kb_pack(args: argparse.Namespace) -> int:
     """Build an mmap KB bundle from a checkpoint: the feature matrix and
     (unless ``--no-embeddings``) the reference-embedding matrix as plain
     ``.npy`` files plus a fingerprinted manifest, ready for
-    ``repro serve --kb-store mmap --kb-bundle DIR`` to memory-map —
-    startup then skips the embedding forward entirely.  ``--with-index``
+    ``repro serve --kb-bundle DIR`` to memory-map — startup then skips
+    the embedding forward entirely.  ``--with-index``
     additionally packs a sublinear candidate-retrieval index so
     ``repro serve --candidates indexed`` maps it instead of rebuilding."""
     from repro.storage import pack_bundle
@@ -741,6 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="batched linking over a file or dataset split (repro.serving)",
+        description="An unset --batch-size, --cache-size, --top-k or "
+        "--kb-bundle keeps the checkpoint's service section; with --http, an "
+        "unset --host or --deadline-ms keeps its http section.",
     )
     p.add_argument("--checkpoint", required=True)
     p.add_argument(
@@ -753,9 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--limit", type=int, default=None, help="cap the number of snippets")
-    p.add_argument("--batch-size", type=int, default=32, help="micro-batch size")
-    p.add_argument("--cache-size", type=int, default=2048, help="LRU entries; 0 disables")
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--batch-size", type=int, default=None, help="micro-batch size")
+    p.add_argument("--cache-size", type=int, default=None, help="LRU entries; 0 disables")
+    p.add_argument("--top-k", type=int, default=None)
     p.add_argument(
         "--async",
         dest="use_async",
@@ -765,16 +759,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--deadline-ms",
         type=float,
-        default=25.0,
-        help="latency budget before a partial micro-batch is flushed (--async)",
+        default=None,
+        help="latency budget before a partial micro-batch is flushed "
+        "(--http; --async, default 25 ms)",
     )
     p.add_argument(
         "--candidates",
         default=None,
         choices=["exact", "fuzzy", "indexed"],
         help="candidate generator override: 'indexed' retrieves through a "
-        "sublinear shortlist index (REPRO_CANDIDATES sets the default; "
-        "with --kb-bundle a packed index is memory-mapped, not rebuilt)",
+        "sublinear shortlist index (with --kb-bundle a packed index is "
+        "memory-mapped, not rebuilt)",
     )
     p.add_argument(
         "--http",
@@ -786,19 +781,12 @@ def build_parser() -> argparse.ArgumentParser:
         "POST /link_stream, GET /healthz, GET /stats",
     )
     p.add_argument(
-        "--kb-store",
-        default=None,
-        choices=["memory", "mmap"],
-        help="where the KB matrices live: in-RAM arrays (default) or "
-        "read-only memory maps of a packed bundle (REPRO_KB_STORE "
-        "overrides the default)",
-    )
-    p.add_argument(
         "--kb-bundle",
         default=None,
         metavar="DIR",
-        help="mmap bundle directory from `repro kb pack` (implies "
-        "--kb-store mmap; default: a private temporary bundle)",
+        help="serve the KB matrices as read-only memory maps of this "
+        "`repro kb pack` bundle (a directory without one is packed on "
+        "start) instead of the live arrays",
     )
     p.add_argument(
         "--shed-policy",
@@ -816,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission queue bound before load shedding kicks in "
         "(implies --shed-policy depth unless one is set)",
     )
-    p.add_argument("--host", default="127.0.0.1", help="bind address for --http")
+    p.add_argument("--host", default=None, help="bind address for --http")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true", help="print serving stats afterwards")
     p.set_defaults(func=_cmd_serve)
@@ -826,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = kb_sub.add_parser(
         "pack",
         help="build an mmap KB bundle (features + embeddings + manifest) "
-        "from a checkpoint for `repro serve --kb-store mmap`",
+        "from a checkpoint for `repro serve --kb-bundle DIR`",
     )
     k.add_argument("--checkpoint", required=True)
     k.add_argument("--out", required=True, help="bundle directory to write")

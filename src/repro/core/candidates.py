@@ -17,8 +17,7 @@ Two stages, both offline-friendly:
 Candidate generation is a registered pipeline component: pick one by
 name via ``LinkerConfig(candidate_generator="exact" | "fuzzy" |
 "indexed")`` or the :data:`repro.api.CANDIDATE_GENERATORS` registry
-(``"exact"`` is the default; the ``REPRO_CANDIDATES`` environment
-variable overrides it).  The evaluation protocol uses ``"exact"``, so
+(``"exact"`` is the default).  The evaluation protocol uses ``"exact"``, so
 benchmark numbers are unaffected by the fallback generators.  The
 ``"indexed"`` generator (:mod:`repro.retrieval`) replaces this module's
 linear n-gram scan with a sublinear shortlist and then reruns the same

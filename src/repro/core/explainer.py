@@ -64,6 +64,8 @@ class GNNExplainer:
     ):
         if ref_graph.features is None:
             raise ValueError("ref_graph needs features")
+        if epochs < 1:
+            raise ValueError(f"explainer epochs must be >= 1, got {epochs}")
         self.model = model
         self.ref_graph = ref_graph
         self.epochs = epochs
@@ -83,6 +85,8 @@ class GNNExplainer:
         """Explain why ``query_graph``'s mention matches ``target_entity``
         with its ``top_k`` (>= 1) most important ego-network edges."""
         check_top_k(top_k)
+        if k_hops < 0:
+            raise ValueError(f"k_hops must be >= 0, got {k_hops}")
         sub, mapping = ego_subgraph(self.ref_graph, target_entity, k_hops)
         sub_target = mapping[target_entity]
         if sub.num_edges == 0:

@@ -40,6 +40,7 @@ class HeteroGraph:
         self._out_csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._in_csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._edge_set: Optional[Dict[Tuple[int, int], int]] = None
+        self._type_array: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -115,6 +116,7 @@ class HeteroGraph:
         self._out_csr = None
         self._in_csr = None
         self._edge_set = None
+        self._type_array = None
 
     # ------------------------------------------------------------------
     # Sizes / basic accessors
@@ -141,7 +143,12 @@ class HeteroGraph:
 
     @property
     def node_types(self) -> np.ndarray:
-        return np.asarray(self._node_types, dtype=np.int64)
+        """Type id per node: one read-only array, rebuilt after a mutation
+        (``nodes_of_type`` reads it for every type-fallback candidate list)."""
+        if self._type_array is None:
+            self._type_array = np.asarray(self._node_types, dtype=np.int64)
+            self._type_array.flags.writeable = False
+        return self._type_array
 
     @property
     def node_names(self) -> List[str]:

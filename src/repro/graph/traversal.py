@@ -15,7 +15,10 @@ from .hetero import HeteroGraph
 
 
 def k_hop_nodes(graph: HeteroGraph, seeds, k: int) -> np.ndarray:
-    """All nodes within ``k`` undirected hops of ``seeds`` (inclusive)."""
+    """All nodes within ``k`` (>= 0) undirected hops of ``seeds``
+    (inclusive)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0 hops, got {k}")
     if np.isscalar(seeds):
         seeds = [int(seeds)]
     visited: Set[int] = set(int(s) for s in seeds)

@@ -11,11 +11,9 @@ for the seam and :class:`RetrievalConfig`, and
 """
 
 from .base import (  # noqa: F401
-    CANDIDATES_ENV,
     RetrievalConfig,
     RetrievalIndex,
     build_retrieval_index,
-    default_candidate_generator,
     retrieval_fingerprint,
 )
 from .generator import IndexedCandidateGenerator  # noqa: F401
@@ -27,14 +25,12 @@ from .pack import (  # noqa: F401
 )
 
 __all__ = [
-    "CANDIDATES_ENV",
     "RetrievalConfig",
     "RetrievalIndex",
     "IndexedCandidateGenerator",
     "NgramPostingsIndex",
     "build_retrieval_index",
     "retrieval_fingerprint",
-    "default_candidate_generator",
     "load_packed_index",
     "repack_index",
     "write_retrieval_arrays",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import abc
 import json
-import os
 import zlib
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, Optional
@@ -32,30 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.hetero import HeteroGraph
 
 __all__ = [
-    "CANDIDATES_ENV",
-    "default_candidate_generator",
     "RetrievalConfig",
     "RetrievalIndex",
     "build_retrieval_index",
     "retrieval_fingerprint",
 ]
-
-#: Environment default for ``LinkerConfig.candidate_generator`` — the same
-#: opt-in pattern as ``REPRO_KB_STORE``, so CI
-#: can run the whole suite under a different generator without editing
-#: every construction site.
-CANDIDATES_ENV = "REPRO_CANDIDATES"
-
-
-def default_candidate_generator() -> str:
-    """The candidate generator configs use unless told otherwise.
-
-    Reads :data:`CANDIDATES_ENV` (empty/unset means ``"exact"``, the
-    paper's Section 3.1 behaviour).  Validation of the name happens in
-    ``LinkerConfig.validate`` against the live registry, so a typo'd env
-    value fails with the registry's options listed.
-    """
-    return os.environ.get(CANDIDATES_ENV, "").strip() or "exact"
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..storage.base import StorageError
-from ..storage.bundle import MANIFEST_NAME, read_manifest, write_manifest
+from ..storage.bundle import MANIFEST_NAME, StorageError, read_manifest, write_manifest
 from .base import RetrievalConfig, RetrievalIndex
 from .ngram import NgramPostingsIndex
 

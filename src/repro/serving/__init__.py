@@ -10,10 +10,11 @@ the service's ``h_ref``/``x_ref``: the rankings are the same, and the
 scores are equal up to float32 rounding of the batched forward (exact
 for a batch of one).  On top of it,
 :class:`AsyncLinkingService` (``scheduler``) accepts requests onto a
-queue and forms micro-batches under a latency deadline.  Where the KB
-matrices live is a separate axis — ``ServiceConfig``'s ``storage``
-section (:class:`~repro.storage.StorageConfig`) picks the in-RAM or
-mmap-bundle backend; the bundle is the one place ``h_ref`` is persisted.
+queue and forms micro-batches under a latency deadline.  A service
+serves the KB matrices from the pipeline's live arrays, or — when
+``ServiceConfig.bundle_path`` names a ``repro kb pack`` bundle — from
+that bundle's read-only maps (:mod:`repro.storage`); the bundle is the
+one place ``h_ref`` is persisted.
 
 The network front door is :class:`LinkingHTTPServer` (``http``): an
 asyncio + stdlib HTTP server over the async service speaking the typed,

@@ -14,7 +14,8 @@ so every decision is unit-testable with a fake clock):
 * :class:`AdmissionConfig` — the declarative policy object.  A strict
   frozen section of :class:`~repro.serving.service.ServiceConfig`, so a
   :class:`~repro.api.LinkerConfig` JSON declares overload behaviour the
-  same way it declares storage; the default policy sheds nothing.
+  same way it declares the HTTP front door; the default policy sheds
+  nothing.
 * :class:`AdmissionController` — the gate in front of the batcher queue.
   Sheds by queue depth and, under ``shed_policy="wait"``, by estimated
   queue wait (depth x an EWMA of observed per-request drain cost).

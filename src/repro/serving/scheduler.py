@@ -18,10 +18,11 @@ condition variable whose wait timeout is the oldest pending deadline.
 Results are the same ``Prediction`` objects the sequential
 ``EDPipeline.disambiguate_snippet`` produces (the equivalence contract of
 the serving layer): compute is delegated to a ``LinkingService``.
-``close()`` joins the batch worker before closing the service, so its
-storage is only released once every queued request has been served.  A
-request that makes its micro-batch fail fails alone: the worker re-runs
-each half of a failed batch until the failing requests are isolated.
+``close()`` joins the batch worker before closing the service, so a
+served bundle's maps are only released once every queued request has
+been served.  A request that makes its micro-batch fail fails alone:
+the worker re-runs each half of a failed batch until the failing
+requests are isolated.
 
 Request latency (submit -> result) and queue wait (submit -> batch
 formed) are recorded into :class:`~repro.serving.stats.ServiceStats`,
@@ -148,7 +149,7 @@ class AsyncLinkingService:
     ``link_stream`` are order-preserving conveniences on top.  Accepts a
     fitted :class:`EDPipeline` (a ``LinkingService`` is built from
     ``config``) or an existing ``LinkingService`` (e.g. one serving from
-    an mmap bundle).
+    a KB bundle).
     """
 
     def __init__(

@@ -6,10 +6,11 @@ forward.  ``LinkingService`` amortises those costs for service-style
 traffic:
 
 * the **reference-embedding cache** — KB node embeddings are computed
-  once at construction (or read from an mmap bundle, see
-  :mod:`repro.storage`) and reused for every request; a fingerprint over
+  once at construction and reused for every request; a fingerprint over
   the model weights and the KB shape invalidates the cache when either
-  changes;
+  changes.  With ``bundle_path`` set, both KB matrices are served as
+  read-only maps of a ``repro kb pack`` bundle (:mod:`repro.storage`),
+  which also persists ``h_ref`` so a start skips the KB forward;
 * the **result LRU cache** — looked up before any work, under what the
   query-graph builder and the candidate generator read: the snippet's
   (mention, category) pairs, its ambiguous index and the restrict flag.
@@ -40,7 +41,7 @@ import numpy as np
 
 from ..core.pipeline import EDPipeline, Prediction, Ranking, check_top_k, rank
 from ..core.query_graph import QueryGraph, build_query_graph
-from ..storage import StorageConfig, open_stores
+from ..storage.bundle import MmapStore
 from ..storage.bundle import content_fingerprint as _content_fingerprint
 from ..storage.bundle import weights_crc as _weights_crc
 from ..text.corpus import Snippet
@@ -121,14 +122,12 @@ class ServiceConfig:
     # dataclasses.asdict and the LinkerConfig JSON round trip produce — is
     # strictly coerced into an HttpConfig.
     http: Optional[HttpConfig] = None
-    # Where the KB feature table and reference-embedding matrix live
-    # (repro.storage); like http, the dict form from asdict / the
-    # LinkerConfig JSON round trip is strictly coerced.
-    storage: StorageConfig = field(default_factory=StorageConfig)
+    # A `repro kb pack` bundle directory: serve x_ref and h_ref as its
+    # read-only maps (repro.storage).  None serves the live arrays.
+    bundle_path: Optional[str] = None
     # Overload policy of the async scheduler (repro.serving.admission):
     # queue bound, shed policy and priorities.  Same strict dict
-    # coercion as http/storage, so it round-trips through LinkerConfig
-    # JSON.
+    # coercion as http, so it round-trips through LinkerConfig JSON.
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
 
     def __post_init__(self):
@@ -142,17 +141,8 @@ class ServiceConfig:
                 raise ValueError(f"bad http section in ServiceConfig: {exc}") from None
         elif self.http is not None and not isinstance(self.http, HttpConfig):
             raise ValueError("ServiceConfig http must be an HttpConfig (or its dict form)")
-        if isinstance(self.storage, dict):
-            try:
-                self.storage = StorageConfig(**self.storage)
-            except TypeError as exc:
-                raise ValueError(
-                    f"bad storage section in ServiceConfig: {exc}"
-                ) from None
-        elif not isinstance(self.storage, StorageConfig):
-            raise ValueError(
-                "ServiceConfig storage must be a StorageConfig (or its dict form)"
-            )
+        if self.bundle_path is not None and not isinstance(self.bundle_path, str):
+            raise ValueError("ServiceConfig bundle_path must be a path string (or null)")
         if isinstance(self.admission, dict):
             try:
                 self.admission = AdmissionConfig(**self.admission)
@@ -184,12 +174,9 @@ class LinkingService:
         self.stats = ServiceStats()
         self._cache = LRUCache(self.config.cache_size)
         self._embedder = MemoizingEmbedder(pipeline.embedder)
-        # Where the matrices live (repro.storage): the memory backend
-        # serves the live arrays; the mmap backend serves both matrices as
-        # read-only maps of a packed bundle, which also persists h_ref.
-        self._kb_store, self._embedding_store = open_stores(
-            self.config.storage, pipeline.kb
-        )
+        self._bundle: Optional[MmapStore] = None
+        if self.config.bundle_path is not None:
+            self._bundle = MmapStore(pipeline.kb, self.config.bundle_path)
         self._fingerprint: Optional[tuple] = None
         self._generator = pipeline.candidate_generator
         self._h_ref: Optional[np.ndarray] = None
@@ -235,37 +222,29 @@ class LinkingService:
         if not force and current == self._fingerprint:
             return False
         self.pipeline.invalidate_ref_cache()
-        self._kb_store.refresh()
-        content = self.content_fingerprint()
-        h_ref = self._embedding_store.load(content)
-        if h_ref is None:
-            h_ref = self._embedding_store.store(
-                content, self.pipeline.ref_embeddings()
-            )
+        if self._bundle is None:
+            h_ref = self.pipeline.ref_embeddings()
+            self._x_ref = self.pipeline.kb.features
+        else:
+            self._bundle.refresh()
+            content = self.content_fingerprint()
+            h_ref = self._bundle.load(content)
+            if h_ref is None:
+                h_ref = self._bundle.store(content, self.pipeline.ref_embeddings())
+            self._x_ref = self._bundle.features
         # Seed the pipeline's own cache so sequential calls agree (and,
-        # with a store-backed matrix, score out of the same bytes).
+        # from a bundle, score out of the same bytes).
         self.pipeline._h_ref = self._h_ref = np.asarray(h_ref)
-        self._x_ref = self._kb_store.features
         self._fingerprint = current
         self._cache.clear()
         self.stats.record_ref_refresh()
-        self.stats.record_storage(self._kb_store.backend)
+        self.stats.record_storage("memory" if self._bundle is None else "mmap")
         return True
 
-    @property
-    def kb_store(self):
-        """The :class:`~repro.storage.KBStore` serving ``x_ref``."""
-        return self._kb_store
-
-    @property
-    def embedding_store(self):
-        """The :class:`~repro.storage.EmbeddingStore` serving ``h_ref``."""
-        return self._embedding_store
-
     def close(self) -> None:
-        """Release the storage backends."""
-        self._kb_store.close()
-        self._embedding_store.close()
+        """Release the bundle's maps (a no-op without a bundle)."""
+        if self._bundle is not None:
+            self._bundle.close()
 
     # ------------------------------------------------------------------
     # Request API

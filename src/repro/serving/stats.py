@@ -39,8 +39,8 @@ class ServiceStats:
     largest_batch: int = 0
     ref_refreshes: int = 0  # reference-embedding cache rebuilds
     compute_seconds: float = 0.0  # wall time inside batched forwards
-    # Storage telemetry (repro.storage): which backend serves the KB
-    # matrices.
+    # Where the KB matrices are served from: "memory" (the pipeline's
+    # live arrays) or "mmap" (a repro.storage bundle's read-only maps).
     storage_backend: str = "memory"
     # Candidate-generation telemetry (repro.retrieval): which generator
     # serves candidates, wall time in the candidate stage, and how often
@@ -82,7 +82,7 @@ class ServiceStats:
         self.ref_refreshes += 1
 
     def record_storage(self, backend: str) -> None:
-        """The storage backend serving the KB matrices (a gauge)."""
+        """Where the KB matrices are served from (a gauge)."""
         self.storage_backend = backend
 
     def record_latency(self, total_seconds: float, queue_wait_seconds: float = 0.0) -> None:

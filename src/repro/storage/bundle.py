@@ -16,7 +16,7 @@ serves it with ``np.load(..., mmap_mode="r")``, so the matrices live in
 the page cache rather than anonymous process memory — N serving
 processes on one host share one copy, and a KB larger than any single
 process's RAM budget is servable.  ``np.save``/``np.load`` round-trip float arrays
-bit-exactly, so scores are identical to the in-RAM backend.
+bit-exactly, so scores are identical to serving the live arrays.
 
 Staleness is handled by content, not by trust: the manifest records a
 CRC of the feature bytes and the (weights + KB) content fingerprint the
@@ -35,20 +35,18 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 import zlib
 from typing import Optional
 
 import numpy as np
 
 from ..core.serialization import ensure_known_keys
-from .base import EmbeddingStore, KBStore, StorageError
 
 __all__ = [
     "BUNDLE_SCHEMA_VERSION",
     "MANIFEST_NAME",
     "MmapStore",
+    "StorageError",
     "content_fingerprint",
     "features_crc",
     "pack_bundle",
@@ -61,6 +59,10 @@ BUNDLE_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 FEATURES_NAME = "features.npy"
 H_REF_NAME = "h_ref.npy"
+
+
+class StorageError(RuntimeError):
+    """A bundle cannot be served (corrupt manifest, unreadable arrays)."""
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +176,7 @@ def pack_bundle(
     Persists the feature matrix, and — unless ``embeddings=False`` —
     the reference-embedding matrix (computing it if needed) keyed by the
     pipeline's content fingerprint, so a subsequent
-    ``repro serve --kb-store mmap`` starts without a single forward
+    ``repro serve --kb-bundle DIR`` starts without a single forward
     pass.  ``retrieval_index`` (a built
     :class:`~repro.retrieval.base.RetrievalIndex`) additionally packs
     the candidate-retrieval index arrays with CRC-checked manifest
@@ -211,26 +213,23 @@ def pack_bundle(
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
-class MmapStore(KBStore, EmbeddingStore):
-    """Bundle-backed store serving both matrices as read-only maps.
+class MmapStore:
+    """Bundle-backed store serving both KB matrices as read-only maps.
 
-    One object implements both seams because both matrices share a
-    bundle directory and a lifecycle.  Pointed at an existing bundle
-    (``repro kb pack`` output) it serves the packed arrays — after
-    validating the feature CRC against the live KB, re-packing on
-    mismatch so a stale bundle can never change scores.  With no
-    ``directory`` it packs the live KB into a private temporary bundle
-    and removes it on :meth:`close`.
+    Pointed at a bundle directory (``repro kb pack`` output) it serves
+    the packed arrays, after validating the feature CRC against the live
+    KB and re-packing on mismatch, so a stale bundle can never change
+    scores.  A directory without a manifest (or a path that does not
+    exist yet) is packed from the live KB; ``h_ref`` is then stored on
+    the first :meth:`store`.
     """
 
-    backend = "mmap"
-
-    def __init__(self, kb, directory: Optional[str] = None):
+    def __init__(self, kb, directory: str):
         self._kb = kb
         if kb.features is None:
             raise StorageError("mmap store needs a KB with a feature matrix")
-        self._owned = directory is None
-        self._directory = directory or tempfile.mkdtemp(prefix="repro-kb-bundle-")
+        os.makedirs(directory, exist_ok=True)
+        self._directory = directory
         self._closed = False
         self._features: Optional[np.ndarray] = None
         self._manifest: Optional[dict] = None
@@ -271,7 +270,7 @@ class MmapStore(KBStore, EmbeddingStore):
             except (OSError, ValueError) as exc:
                 raise StorageError(f"unreadable bundle array {path}: {exc}") from None
 
-    # -- KBStore --------------------------------------------------------
+    # -- the feature matrix (x_ref) --------------------------------------
     @property
     def features(self) -> np.ndarray:
         if self._closed:
@@ -279,10 +278,14 @@ class MmapStore(KBStore, EmbeddingStore):
         return self._features
 
     def refresh(self) -> None:
+        """Revalidate against the live KB (after a KB mutation)."""
         self._validate()
 
-    # -- EmbeddingStore -------------------------------------------------
+    # -- the reference embeddings (h_ref) ---------------------------------
     def load(self, fingerprint: int) -> Optional[np.ndarray]:
+        """The packed ``h_ref`` if it was computed under ``fingerprint``
+        (see :func:`content_fingerprint`), else ``None``: a stale matrix
+        is never served."""
         if self._closed:
             raise StorageError("mmap store is closed")
         entry = self._manifest.get("h_ref") if self._manifest else None
@@ -295,6 +298,9 @@ class MmapStore(KBStore, EmbeddingStore):
             raise StorageError(f"unreadable bundle array {path}: {exc}") from None
 
     def store(self, fingerprint: int, h_ref: np.ndarray) -> np.ndarray:
+        """Persist a freshly computed ``h_ref`` under ``fingerprint`` and
+        return a read-only map of the bytes just written (bit-identical
+        to ``h_ref``)."""
         if self._closed:
             raise StorageError("mmap store is closed")
         path = os.path.join(self._directory, H_REF_NAME)
@@ -307,14 +313,7 @@ class MmapStore(KBStore, EmbeddingStore):
         return np.load(path, mmap_mode="r")
 
     # -- lifecycle ------------------------------------------------------
-    @property
-    def directory(self) -> str:
-        return self._directory
-
     def close(self) -> None:
-        if self._closed:
-            return
+        """Drop the maps; the bundle directory stays.  Idempotent."""
         self._closed = True
-        self._features = None  # drop the map before removing its file
-        if self._owned:
-            shutil.rmtree(self._directory, ignore_errors=True)
+        self._features = None

@@ -4,8 +4,8 @@ Covers the acceptance contract of the facade redesign:
 
 * ``LinkerConfig.from_json(cfg.to_json())`` round-trips for every
   registered component combination (and rejects unknown keys, unknown
-  component names, and bad schema versions — a v1, v2 or v3 payload, or
-  a checkpoint carrying one, fails naming every key removed since);
+  component names, and bad schema versions — a v1 to v4 payload, or a
+  checkpoint carrying one, fails naming every key removed since);
 * the registries reject duplicate names and list options on a miss;
 * a ``Linker.save`` checkpoint reproduces ``disambiguate_snippet``
   predictions bit-identically after ``Linker.load`` — equal to the
@@ -46,6 +46,15 @@ from repro.text import HashingNgramEmbedder
 SMALL_MODEL = dict(variant="graphsage", num_layers=2, feature_dim=32, hidden_dim=32)
 
 
+#: keys a schema-version-4 payload carried that version 5 removed (the
+#: storage section; its bundle path moved to service.bundle_path), with
+#: their version-4 defaults
+V4_REMOVED = {
+    "service.storage.kb_store": "memory",
+    "service.storage.bundle_path": None,
+}
+#: keys version 5 added, absent from every earlier payload
+V5_ADDED = ("service.bundle_path",)
 #: keys a schema-version-3 payload carried that version 4 removed (the
 #: thread shards and the .npz reference-embedding cache), with their
 #: version-3 defaults
@@ -79,18 +88,27 @@ V1_REMOVED = {
 
 def legacy_payload(config: LinkerConfig, version: int) -> dict:
     """``config`` as a payload of an earlier schema version: the current
-    layout plus every key removed since ``version``."""
+    layout without the keys added since ``version``, plus every key
+    removed since ``version``."""
     payload = config.to_dict()
     payload["schema_version"] = version
+    for dotted in V5_ADDED:
+        *path, key = dotted.split(".")
+        section = payload
+        for name in path:
+            section = section[name]
+        del section[key]
     removed = {}
-    for since, keys in ((1, V1_REMOVED), (2, V2_REMOVED), (3, V3_REMOVED)):
+    for since, keys in (
+        (1, V1_REMOVED), (2, V2_REMOVED), (3, V3_REMOVED), (4, V4_REMOVED)
+    ):
         if version <= since:
             removed.update(keys)
     for dotted, value in removed.items():
         *path, key = dotted.split(".")
         section = payload
         for name in path:
-            section = section[name]
+            section = section.setdefault(name, {})
         section[key] = value
     return payload
 
@@ -255,7 +273,7 @@ class TestLinkerConfigRejection:
         ) as info:
             LinkerConfig.from_dict(payload)
         # Every key removed since version 1 is named, not just version 2's.
-        for key in (*V2_REMOVED, *V3_REMOVED):
+        for key in (*V2_REMOVED, *V3_REMOVED, *V4_REMOVED):
             assert key in str(info.value)
         # Nor does the current version accept a removed key silently.
         payload["schema_version"] = CONFIG_SCHEMA_VERSION
@@ -266,7 +284,7 @@ class TestLinkerConfigRejection:
         payload = legacy_payload(small_config(), 2)
         with pytest.raises(ValueError, match="schema_version 2 ") as info:
             LinkerConfig.from_dict(payload)
-        for key in (*V2_REMOVED, *V3_REMOVED):
+        for key in (*V2_REMOVED, *V3_REMOVED, *V4_REMOVED):
             assert key in str(info.value)
         for key in V1_REMOVED:
             assert key not in str(info.value)
@@ -277,6 +295,9 @@ class TestLinkerConfigRejection:
             LinkerConfig.from_dict(payload)
         for dotted in V3_REMOVED:
             del payload["service"][dotted.split(".")[-1]]
+        with pytest.raises(ValueError, match="bad service section.*storage"):
+            LinkerConfig.from_dict(payload)
+        del payload["service"]["storage"]
         with pytest.raises(ValueError, match="bad admission section.*adaptive"):
             LinkerConfig.from_dict(payload)
         del payload["service"]["admission"]
@@ -290,34 +311,53 @@ class TestLinkerConfigRejection:
             match=r"schema_version 3 .*service\.num_shards, service\.ref_cache_path",
         ) as info:
             LinkerConfig.from_dict(payload)
+        for key in V4_REMOVED:
+            assert key in str(info.value)
         for key in (*V1_REMOVED, *V2_REMOVED):
             assert key not in str(info.value)
         payload["schema_version"] = CONFIG_SCHEMA_VERSION
         with pytest.raises(ValueError, match="bad service section.*num_shards"):
             LinkerConfig.from_dict(payload)
 
-    def test_v4_round_trips_exactly(self):
+    def test_v4_payload_rejected_naming_removed_keys(self):
+        payload = legacy_payload(small_config(), 4)
+        with pytest.raises(
+            ValueError,
+            match=r"schema_version 4 .*service\.storage\.kb_store, "
+            r"service\.storage\.bundle_path; delete them "
+            r"\(a service\.storage\.bundle_path value now lives at "
+            r"service\.bundle_path\) and set schema_version to 5",
+        ) as info:
+            LinkerConfig.from_dict(payload)
+        for key in (*V1_REMOVED, *V2_REMOVED, *V3_REMOVED):
+            assert key not in str(info.value)
+        payload["schema_version"] = CONFIG_SCHEMA_VERSION
+        with pytest.raises(ValueError, match="bad service section.*storage"):
+            LinkerConfig.from_dict(payload)
+
+    def test_v5_round_trips_exactly(self):
         from repro.retrieval import RetrievalConfig
         from repro.serving import AdmissionConfig
 
         config = small_config(
             retrieval=RetrievalConfig(shortlist=64, max_df_ratio=0.02, bundle_path="b"),
             service=ServiceConfig(
+                bundle_path="kb-bundle",
                 admission=AdmissionConfig(
                     shed_policy="wait", max_queue=16, max_wait_ms=40.0
-                )
+                ),
             ),
         )
         payload = json.loads(config.to_json())
-        assert CONFIG_SCHEMA_VERSION == 4
-        assert payload["schema_version"] == 4
+        assert CONFIG_SCHEMA_VERSION == 5
+        assert payload["schema_version"] == 5
         loaded = LinkerConfig.from_json(config.to_json())
         assert loaded.to_dict() == config.to_dict()
         assert loaded.retrieval == config.retrieval
         assert loaded.service == config.service
         assert set(payload["service"]) == {
             "max_batch_size", "cache_size", "top_k", "restrict_to_candidates",
-            "http", "storage", "admission",
+            "http", "bundle_path", "admission",
         }
         assert set(payload["retrieval"]) == {
             "shortlist", "ngram_size", "num_buckets", "max_df_ratio", "seed",
@@ -442,7 +482,7 @@ class TestLinkerPersistence:
         path.write_text(json.dumps(legacy_payload(trained.config, 2)))
         with pytest.raises(ValueError, match="schema_version 2 ") as info:
             Linker.load(str(tmp_path))
-        for key in (*V2_REMOVED, *V3_REMOVED):
+        for key in (*V2_REMOVED, *V3_REMOVED, *V4_REMOVED):
             assert key in str(info.value)
 
     def test_load_rejects_v3_linker_json(self, trained, tmp_path):
@@ -451,8 +491,18 @@ class TestLinkerPersistence:
         path.write_text(json.dumps(legacy_payload(trained.config, 3)))
         with pytest.raises(ValueError, match="schema_version 3 ") as info:
             Linker.load(str(tmp_path))
-        for key in V3_REMOVED:
+        for key in (*V3_REMOVED, *V4_REMOVED):
             assert key in str(info.value)
+
+    def test_load_rejects_v4_linker_json(self, trained, tmp_path):
+        trained.save(str(tmp_path))
+        path = tmp_path / LINKER_CONFIG_FILE
+        path.write_text(json.dumps(legacy_payload(trained.config, 4)))
+        with pytest.raises(ValueError, match="schema_version 4 ") as info:
+            Linker.load(str(tmp_path))
+        for key in V4_REMOVED:
+            assert key in str(info.value)
+        assert "service.bundle_path" in str(info.value)
 
     def test_load_equals_legacy_load_bit_identically(self, dataset, trained, tmp_path):
         """Acceptance: Linker.save/load == save_pipeline/load_pipeline,

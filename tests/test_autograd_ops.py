@@ -64,6 +64,25 @@ class TestGatherScatter:
         out = scatter_add(gather(src, idx), idx, 4)
         np.testing.assert_allclose(out.data, src.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(300,), (300, 5), (300, 2, 3)])
+    def test_scatter_add_bits_equal_add_at(self, rng, dtype, shape):
+        """Each bucket sums its rows in index order, as np.add.at does: a
+        hub bucket, empty buckets, -0.0 rows, int32 ids, strided rows."""
+        vals = (rng.standard_normal(shape) * 1e3).astype(dtype)
+        vals[::7] = -0.0
+        idx = rng.integers(0, 40, shape[0]).astype(np.int32)
+        idx[::3] = 5
+        for values in (vals, vals[::-1]):
+            expected = np.zeros((50,) + shape[1:], dtype=dtype)
+            np.add.at(expected, idx, values)
+            out = scatter_add(Tensor(values, dtype=dtype), idx, 50).data
+            assert out.dtype == dtype and out.tobytes() == expected.tobytes()
+
+    def test_scatter_add_out_of_range_raises(self):
+        with pytest.raises(IndexError):
+            scatter_add(Tensor(np.ones((2, 2))), np.array([0, 5]), 3)
+
     def test_scatter_mean_empty_segment_zero(self, rng):
         vals = Tensor(np.ones((2, 2)))
         out = scatter_mean(vals, np.array([0, 0]), 3)

@@ -136,7 +136,9 @@ class TestTrainAndLink:
         (SNIPPET_TEXT, ["--top-k", "0"], "top_k must be >= 1"),
         (SNIPPET_TEXT, ["--top-k", "-1"], "top_k must be >= 1"),
         ("nothing to see here", [], "NER found no entity mentions"),
-    ], ids=["top-k-0", "top-k-minus-1", "no-mention"])
+        (SNIPPET_TEXT, ["--hops", "-1"], "k_hops must be >= 0"),
+        (SNIPPET_TEXT, ["--opt-epochs", "0"], "epochs must be >= 1"),
+    ], ids=["top-k-0", "top-k-minus-1", "no-mention", "hops-minus-1", "opt-epochs-0"])
     def test_explain_rejects_bad_input(self, checkpoint, text, extra, message):
         with pytest.raises(SystemExit, match=message) as info:
             main(["explain", "--checkpoint", checkpoint, "--text", text,
@@ -311,6 +313,78 @@ class TestServe:
             main(["serve", "--checkpoint", checkpoint, "--dataset", "NCBI",
                   "--scale", SCALE, "--limit", "2", "--json", "--top-k", top_k])
         assert "\n" not in str(info.value.code)
+
+    @pytest.fixture
+    def tuned_checkpoint(self, checkpoint, tmp_path):
+        """The checkpoint with a service section that differs from every
+        serve flag's fallback."""
+        import shutil
+
+        path = str(tmp_path / "tuned")
+        shutil.copytree(checkpoint, path)
+        config_path = os.path.join(path, "linker.json")
+        with open(config_path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["service"].update(
+            max_batch_size=4, cache_size=0, top_k=2,
+            http={"host": "localhost", "deadline_ms": 7.5},
+        )
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        return path
+
+    @pytest.mark.parametrize("flags,top_k,cache_hits,batches", [
+        ([], 2, 0, (2, 4)),
+        (["--batch-size", "8", "--cache-size", "16", "--top-k", "3"], 3, 1, (1, 6)),
+    ], ids=["checkpoint", "flags"])
+    def test_service_section_applies_unless_a_flag_is_given(
+        self, tuned_checkpoint, tmp_path, capsys, flags, top_k, cache_hits, batches
+    ):
+        from repro.datasets import load_dataset
+        from repro.text import save_snippets
+
+        # Six distinct snippets and one repeat: the repeat is a cache hit
+        # only with the cache on.
+        test = load_dataset("NCBI", scale=float(SCALE)).test
+        corpus = str(tmp_path / "snippets.jsonl")
+        save_snippets(test[:6] + test[:1], corpus)
+        assert main(
+            ["serve", "--checkpoint", tuned_checkpoint, "--input", corpus,
+             "--json", "--stats", *flags]
+        ) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        predictions, stats = lines[:7], lines[7]["stats"]
+        assert max(len(p["candidates"]) for p in predictions) == top_k
+        assert stats["cache_hits"] == cache_hits
+        assert (stats["batches"], stats["max_batch_size"]) == batches
+
+    @pytest.mark.parametrize("flags,host,deadline_ms,top_k", [
+        ([], "localhost", 7.5, 2),
+        (["--host", "127.0.0.1", "--deadline-ms", "12", "--top-k", "3"],
+         "127.0.0.1", 12.0, 3),
+    ], ids=["checkpoint", "flags"])
+    def test_http_section_applies_unless_a_flag_is_given(
+        self, tuned_checkpoint, capsys, monkeypatch, flags, host, deadline_ms, top_k
+    ):
+        from repro.serving import LinkingHTTPServer
+
+        seen = {}
+        monkeypatch.setattr(LinkingHTTPServer, "start", lambda server: server)  # no bind
+        monkeypatch.setattr(
+            "repro.cli._http_wait",
+            lambda server: seen.update(
+                host=server.host,
+                deadline_s=server.service.deadline_s,
+                config=server.service.service.config,
+            ),
+        )
+        assert main(
+            ["serve", "--checkpoint", tuned_checkpoint, "--http", "0", *flags]
+        ) == 0
+        assert f"serving on http://{host}:0" in capsys.readouterr().out
+        assert seen["host"] == host
+        assert seen["deadline_s"] == deadline_ms / 1000.0
+        assert (seen["config"].max_batch_size, seen["config"].top_k) == (4, top_k)
 
     def test_bad_deadline_rejected(self, checkpoint):
         with pytest.raises(SystemExit):
@@ -504,7 +578,7 @@ class TestKbPack:
         assert manifest["h_ref"]["fingerprint"]
         for name in ("manifest.json", "features.npy", "h_ref.npy"):
             assert os.path.exists(os.path.join(bundle, name))
-        # The packed bundle serves: --kb-bundle implies --kb-store mmap.
+        # The packed bundle serves: --kb-bundle sets the bundle path.
         assert main(
             [
                 "serve",
@@ -564,35 +638,16 @@ class TestKbPack:
         assert len(lines) == 5  # four predictions + the stats payload
         assert lines[4]["stats"]["candidate_generator"] == "indexed"
 
-    def test_serve_kb_store_mmap_without_bundle(self, checkpoint, capsys):
-        # No --kb-bundle: the mmap store packs a private temporary bundle
-        # and removes it on close; results are unchanged.
-        assert main(
-            [
-                "serve",
-                "--checkpoint", checkpoint,
-                "--dataset", "NCBI",
-                "--scale", SCALE,
-                "--limit", "4",
-                "--kb-store", "mmap",
-                "--json",
-                "--stats",
-            ]
-        ) == 0
-        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert lines[4]["stats"]["storage_backend"] == "mmap"
-        assert all("candidates" in line for line in lines[:4])
-
     def test_kb_requires_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["kb"])
 
 
 class TestServeSigpipe:
-    def test_closed_stdout_during_storage_init_exits_clean(self, checkpoint):
+    def test_closed_stdout_during_storage_init_exits_clean(self, checkpoint, tmp_path):
         # A downstream consumer hanging up while serve is still packing /
-        # mapping the bundle (storage init) must end the process SIGPIPE-
-        # clean: exit 0, no traceback on stderr.
+        # mapping the bundle (storage init; here a fresh directory) must
+        # end the process SIGPIPE-clean: exit 0, no traceback on stderr.
         import subprocess
         import sys
 
@@ -604,7 +659,7 @@ class TestServeSigpipe:
                 sys.executable, "-m", "repro", "serve",
                 "--checkpoint", checkpoint,
                 "--input", "-",
-                "--kb-store", "mmap",
+                "--kb-bundle", str(tmp_path / "fresh-bundle"),
             ],
             cwd=root,
             env=env,

@@ -97,6 +97,13 @@ class TestGraphConstruction:
     def test_nodes_of_type(self, toy):
         drugs = toy.nodes_of_type("Drug")
         assert set(drugs.tolist()) == {toy.aspirin, toy.metformin}
+        # The type array is cached, read-only, and rebuilt after a mutation.
+        with pytest.raises(ValueError):
+            toy.node_types[0] = 1
+        new = toy.add_node("Drug", "newdrug")
+        assert set(toy.nodes_of_type("Drug").tolist()) == {toy.aspirin, toy.metformin, new}
+        offset = toy.splice(toy.copy())
+        assert len(toy.nodes_of_type("Drug")) == 6 and offset + new in toy.nodes_of_type("Drug")
 
     def test_histograms(self, toy):
         hist = toy.type_histogram()

@@ -5,8 +5,7 @@ Covers the acceptance contract of the indexed-generator tentpole:
 * the vectorised ``edit_distances`` matches the scalar DP exactly;
 * ``RetrievalConfig`` is strict (out-of-range knobs rejected) and
   round-trips through ``LinkerConfig``;
-* the ``REPRO_CANDIDATES`` environment default picks the generator and
-  a typo'd value fails with the registry's options listed;
+* a typo'd generator name fails with the registry's options listed;
 * the n-gram index returns capped, deduplicated, deterministic
   shortlists, and the ``"indexed"`` generator reproduces the fuzzy
   oracle exactly when the shortlist covers the whole KB;
@@ -28,11 +27,9 @@ from repro.core import (
 )
 from repro.datasets import load_dataset
 from repro.retrieval import (
-    CANDIDATES_ENV,
     IndexedCandidateGenerator,
     RetrievalConfig,
     build_retrieval_index,
-    default_candidate_generator,
     load_packed_index,
     repack_index,
     retrieval_fingerprint,
@@ -173,23 +170,13 @@ class TestRetrievalConfig:
 
 
 # ----------------------------------------------------------------------
-# Environment default
+# Generator names
 # ----------------------------------------------------------------------
 class TestCandidatesEnv:
-    def test_unset_means_exact(self, monkeypatch):
-        monkeypatch.delenv(CANDIDATES_ENV, raising=False)
-        assert default_candidate_generator() == "exact"
+    def test_typo_fails_with_options_listed(self):
         assert LinkerConfig().candidate_generator == "exact"
-
-    def test_env_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv(CANDIDATES_ENV, "indexed")
-        assert default_candidate_generator() == "indexed"
-        assert LinkerConfig().candidate_generator == "indexed"
-
-    def test_typo_fails_with_options_listed(self, monkeypatch):
-        monkeypatch.setenv(CANDIDATES_ENV, "indxed")
-        with pytest.raises(ValueError, match="indxed"):
-            LinkerConfig()
+        with pytest.raises(ValueError, match="indxed.*exact.*fuzzy.*indexed"):
+            LinkerConfig(candidate_generator="indxed")
 
     def test_registry_has_all_generators(self):
         for name in ("exact", "fuzzy", "indexed"):

@@ -2,12 +2,14 @@
 
 Covers batch-vs-sequential result equivalence (the service must return
 the rankings ``EDPipeline.disambiguate_snippet`` returns, with scores
-equal up to float32 rounding), the result LRU cache (hits before any
-work, context sensitivity, invalidation), ``top_k`` validation, the
-stats counters, and the matchers' closed forms.
+equal up to float32 rounding), also for each candidate generator served
+from the live arrays and from a KB bundle through every serving path,
+the result LRU cache (hits before any work, context sensitivity,
+invalidation), ``top_k`` validation, the stats counters, and the
+matchers' closed forms.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,8 +19,17 @@ from repro.core import EDPipeline, ModelConfig, Prediction, TrainConfig, make_ma
 from repro.core.pipeline import rank
 from repro.autograd import Tensor
 from repro.datasets import load_dataset
-from repro.serving import LinkingService, LRUCache, ServiceConfig, ServiceStats
+from repro.retrieval import build_retrieval_index
+from repro.serving import (
+    LinkerClient,
+    LinkingService,
+    LRUCache,
+    ServiceConfig,
+    ServiceStats,
+)
 from repro.serving import service as service_module
+from repro.storage import pack_bundle
+from repro.storage.bundle import read_manifest
 from repro.text.corpus import Snippet
 
 SCALE = 0.2
@@ -100,6 +111,72 @@ class TestEquivalence:
         assert prediction.ranked_entities == sequential.ranked_entities
 
 
+class TestServedConfigurations:
+    """Each candidate generator served from the live arrays and from a
+    packed bundle, through the batched, cached, async and HTTP paths."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, pipeline, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("served"))
+        Linker(pipeline).save(directory)
+        return directory
+
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    @pytest.mark.parametrize("generator", ["exact", "fuzzy", "indexed"])
+    def test_every_path_matches_sequential(
+        self, checkpoint, dataset, generator, backend, tmp_path
+    ):
+        linker = Linker.load(checkpoint)
+        bundle = retrieval = None
+        if backend == "mmap":
+            # The deployment shape: `repro kb pack --with-index` for the
+            # indexed generator, whose loader maps the packed index.
+            bundle = str(tmp_path / "bundle")
+            retrieval = replace(linker.config.retrieval, bundle_path=bundle)
+            index = None
+            if generator == "indexed":
+                index = build_retrieval_index(linker.kb, retrieval)
+            pack_bundle(linker.pipeline, bundle, retrieval_index=index)
+        linker.use_candidate_generator(generator, retrieval=retrieval)
+        snippets = dataset.test
+        pipe = linker.pipeline
+        assert not getattr(pipe.candidate_generator, "repacked", False)
+
+        service = linker.serve(max_batch_size=4, cache_size=512, bundle_path=bundle)
+        try:
+            assert_equivalent(service, pipe, snippets)
+            hits = service.stats.cache_hits
+            assert_equivalent(service, pipe, snippets)
+            assert service.stats.cache_hits == hits + len(snippets)
+            stats = service.stats
+            assert (stats.candidate_generator, stats.storage_backend) == (
+                generator, backend,
+            )
+            assert stats.candidate_fallbacks > 0
+        finally:
+            service.close()
+
+        with linker.serve(
+            async_=True, deadline_ms=10.0, max_batch_size=4, bundle_path=bundle
+        ) as async_service:
+            assert_matches_sequential(async_service.link_batch(snippets), pipe, snippets)
+            assert async_service.stats.storage_backend == backend
+
+        server = linker.serve(http_port=0, max_batch_size=4, bundle_path=bundle)
+        try:
+            with LinkerClient(port=server.port) as client:
+                wire = client.link_batch(snippets)
+                remote = client.stats()
+        finally:
+            server.close()
+        assert [list(p.entity_ids) for p in wire] == [
+            pipe.disambiguate_snippet(s).ranked_entities for s in snippets
+        ]
+        assert (remote["candidate_generator"], remote["storage_backend"]) == (
+            generator, backend,
+        )
+
+
 class TestResultCache:
     def test_repeat_requests_hit(self, pipeline, dataset):
         service = LinkingService(pipeline, ServiceConfig(cache_size=512))
@@ -151,10 +228,15 @@ class TestResultCache:
         assert service.stats.cache_hits == 0
         assert service.stats.cache_misses == 6
 
-    def test_weight_change_invalidates(self, pipeline, dataset):
-        service = LinkingService(pipeline, ServiceConfig(cache_size=512))
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_weight_change_invalidates(self, pipeline, dataset, backend, tmp_path):
+        bundle = str(tmp_path / "bundle") if backend == "mmap" else None
+        service = LinkingService(
+            pipeline, ServiceConfig(cache_size=512, bundle_path=bundle)
+        )
         service.link_batch(dataset.test[:4])
         before = service.fingerprint()
+        stored = service.content_fingerprint()
 
         param = pipeline.model.parameters()[0]
         original = param.data.copy()
@@ -163,6 +245,11 @@ class TestResultCache:
             assert service.fingerprint() != before
             assert service.refresh() is True
             assert service.stats.ref_refreshes == 2
+            if bundle is not None:
+                # The new weights' h_ref replaced the stored one.
+                assert service.content_fingerprint() != stored
+                entry = read_manifest(bundle)["h_ref"]
+                assert entry["fingerprint"] == service.content_fingerprint()
             # Cache was cleared: the same request recomputes.
             service.link_batch(dataset.test[:4])
             assert service.stats.cache_hits == 0
@@ -170,6 +257,7 @@ class TestResultCache:
         finally:
             param.data = original
             pipeline.invalidate_ref_cache()
+            service.close()
 
     def test_kb_edge_rewire_invalidates(self, dataset):
         # Edge mutations that keep node/edge counts plausible must still

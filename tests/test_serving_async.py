@@ -168,12 +168,27 @@ class TestAsyncLinkingService:
             service.submit(dataset.test[0])
         service.close()  # idempotent
 
-    def test_close_drains_pending(self, pipeline, dataset):
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_close_drains_pending(self, pipeline, dataset, backend, tmp_path, monkeypatch):
         # A deadline much longer than the test: close() must still flush
-        # the queued requests instead of abandoning their futures.
-        service = AsyncLinkingService(pipeline, deadline_ms=60_000.0)
+        # the queued requests instead of abandoning their futures, and
+        # only then close the service, which releases a bundle's maps.
+        bundle = str(tmp_path / "bundle") if backend == "mmap" else None
+        service = AsyncLinkingService(
+            pipeline, ServiceConfig(bundle_path=bundle), deadline_ms=60_000.0
+        )
+        assert service.stats.storage_backend == backend
         futures = [service.submit(s) for s in dataset.test[:3]]
+        drained_at_close = []
+        close_service = service.service.close
+
+        def close_after_drain():
+            drained_at_close.append(all(f.done() for f in futures))
+            close_service()
+
+        monkeypatch.setattr(service.service, "close", close_after_drain)
         service.close()
+        assert drained_at_close == [True]
         for future, snippet in zip(futures, dataset.test[:3]):
             expected = pipeline.disambiguate_snippet(snippet)
             assert future.result(timeout=1.0).ranked_entities == expected.ranked_entities

@@ -1,9 +1,9 @@
-"""Tests for the pluggable KB/embedding storage layer (repro.storage).
+"""Tests for the packed KB bundle (repro.storage).
 
-Covers the strict ``StorageConfig`` section (standalone and inside
-``ServiceConfig``), the mmap bundle's bit-exact round trip and
-staleness handling, and the cross-backend equivalence property — the
-memory and mmap backends both rank exactly like
+Covers ``ServiceConfig.bundle_path`` (strict type, exact JSON round
+trip), the mmap bundle's bit-exact round trip and staleness handling,
+and the cross-form equivalence property — a service over the live
+arrays and one over a bundle both rank exactly like
 ``disambiguate_snippet`` with bitwise-identical scores, also when a
 top-2|4 re-link is served from the result cache.
 """
@@ -18,14 +18,10 @@ from repro.core import EDPipeline, ModelConfig, TrainConfig
 from repro.datasets import load_dataset
 from repro.serving import LinkingService, ServiceConfig
 from repro.storage import (
-    KB_STORE_ENV,
     MmapStore,
-    StorageConfig,
     StorageError,
     content_fingerprint,
-    default_kb_store,
     pack_bundle,
-    resolve_kb_store,
 )
 from repro.storage.bundle import (
     FEATURES_NAME,
@@ -61,60 +57,23 @@ def bundle(pipeline, tmp_path_factory):
     return directory, manifest
 
 
-def make_service(pipeline, kb_store, bundle_path=None):
-    return LinkingService(
-        pipeline,
-        ServiceConfig(
-            storage=StorageConfig(kb_store=kb_store, bundle_path=bundle_path)
-        ),
-    )
+def make_service(pipeline, bundle_path=None):
+    return LinkingService(pipeline, ServiceConfig(bundle_path=bundle_path))
 
 
 # ----------------------------------------------------------------------
-# StorageConfig
+# ServiceConfig.bundle_path
 # ----------------------------------------------------------------------
 class TestStorageConfig:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(KB_STORE_ENV, raising=False)
-        config = StorageConfig()
-        assert config.kb_store == "memory"
-        assert config.bundle_path is None
-
-    def test_env_var_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv(KB_STORE_ENV, "mmap")
-        assert default_kb_store() == "mmap"
-        assert StorageConfig().kb_store == "mmap"
-        # An explicit request always wins over the environment.
-        assert resolve_kb_store("memory") == "memory"
-
-    def test_unknown_store_rejected(self):
-        with pytest.raises(ValueError, match="unknown kb store"):
-            resolve_kb_store("cloud")
-        with pytest.raises(ValueError, match="unknown kb_store"):
-            StorageConfig(kb_store="cloud")
-
     def test_bad_field_types_rejected(self):
+        assert ServiceConfig().bundle_path is None
         with pytest.raises(ValueError, match="bundle_path"):
-            StorageConfig(bundle_path=7)
-
-    def test_service_config_coerces_dict_section(self):
-        # The shape dataclasses.asdict / the LinkerConfig JSON round trip
-        # produce must coerce strictly back into a StorageConfig.
-        config = ServiceConfig(storage={"kb_store": "mmap", "bundle_path": None})
-        assert config.storage == StorageConfig(kb_store="mmap")
-
-    def test_service_config_rejects_unknown_storage_key(self):
-        with pytest.raises(ValueError, match="bad storage section"):
-            ServiceConfig(storage={"kb_store": "memory", "compression": "zstd"})
-
-    def test_service_config_rejects_non_dict_storage(self):
-        with pytest.raises(ValueError, match="storage must be a StorageConfig"):
-            ServiceConfig(storage="mmap")
+            ServiceConfig(bundle_path=7)
 
     def test_json_round_trip_is_exact(self):
         import dataclasses
 
-        original = ServiceConfig(storage=StorageConfig(kb_store="mmap"))
+        original = ServiceConfig(bundle_path="bundle")
         payload = json.loads(json.dumps(dataclasses.asdict(original)))
         assert ServiceConfig(**payload) == original
 
@@ -216,33 +175,26 @@ class TestBundle:
         finally:
             store.close()
 
-    def test_owned_temp_bundle_removed_on_close(self, pipeline):
-        store = MmapStore(pipeline.kb)
-        directory = store.directory
-        assert os.path.exists(os.path.join(directory, FEATURES_NAME))
-        store.close()
-        store.close()  # idempotent
-        assert not os.path.exists(directory)
-
     def test_pointed_at_bundle_survives_close(self, pipeline, bundle):
         directory, _ = bundle
         store = MmapStore(pipeline.kb, directory=directory)
         store.close()
+        store.close()  # idempotent
         assert os.path.exists(os.path.join(directory, MANIFEST_NAME))
         with pytest.raises(StorageError, match="closed"):
             store.features
 
 
 # ----------------------------------------------------------------------
-# Cross-backend equivalence
+# Live arrays vs bundle equivalence
 # ----------------------------------------------------------------------
 class TestCrossBackendEquivalence:
     @pytest.fixture(scope="class")
     def baseline(self, pipeline, dataset):
-        """Predictions from the memory-backed service, checked once
-        against the sequential oracle; every backend must match them
+        """Predictions from a service over the live arrays, checked once
+        against the sequential oracle; a bundle must match them
         bitwise."""
-        service = make_service(pipeline, "memory")
+        service = make_service(pipeline)
         try:
             predictions = service.link_batch(dataset.test[:6])
         finally:
@@ -252,14 +204,16 @@ class TestCrossBackendEquivalence:
             assert prediction.ranked_entities == oracle.ranked_entities
         return predictions
 
-    @pytest.mark.parametrize("kb_store", ["memory", "mmap"])
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
     @pytest.mark.parametrize("top_k", [2, 4])
     def test_scores_bit_identical_across_backends(
-        self, pipeline, dataset, baseline, kb_store, top_k
+        self, pipeline, dataset, baseline, backend, top_k, tmp_path
     ):
-        service = make_service(pipeline, kb_store)
+        # The mmap leg packs a fresh bundle on start and serves its maps.
+        bundle_path = str(tmp_path / "bundle") if backend == "mmap" else None
+        service = make_service(pipeline, bundle_path)
         try:
-            assert service.kb_store.backend == kb_store
+            assert service.stats.storage_backend == backend
             predictions = service.link_batch(dataset.test[:6])
             for expected, actual in zip(baseline, predictions):
                 assert actual.ranked_entities == expected.ranked_entities
@@ -290,7 +244,7 @@ class TestCrossBackendEquivalence:
 
         try:
             EDPipeline.ref_embeddings = counting
-            service = make_service(pipeline, "mmap", bundle_path=directory)
+            service = make_service(pipeline, directory)
         finally:
             EDPipeline.ref_embeddings = original
         try:
@@ -306,8 +260,8 @@ class TestCrossBackendEquivalence:
 # Storage telemetry
 # ----------------------------------------------------------------------
 class TestStorageStats:
-    def test_stats_carry_the_storage_block(self, pipeline):
-        service = make_service(pipeline, "mmap")
+    def test_stats_carry_the_storage_block(self, pipeline, tmp_path):
+        service = make_service(pipeline, str(tmp_path / "bundle"))
         try:
             payload = service.stats.to_dict()
             assert payload["storage_backend"] == "mmap"
