@@ -30,9 +30,10 @@ def gather(source: Tensor, index) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if source.requires_grad:
-            full = np.zeros_like(source.data)
-            np.add.at(full, idx, grad)
-            source._accumulate(full)
+            # One row of grad per index, in the index's C order, as np.add.at
+            # would visit them.
+            rows = grad.reshape((idx.size,) + source.data.shape[1:])
+            source._accumulate(_segment_sum(rows, idx.reshape(-1), len(source.data)))
 
     return Tensor._make(out_data, (source,), backward)
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import List, Optional, Sequence
 
@@ -365,12 +366,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.http is not None:
         server = frontend
-        print(f"serving on http://{server.host}:{server.port}", flush=True)
+        # A job started with `&` by a non-interactive shell inherits SIGINT
+        # as ignored; Ctrl-C and `kill -INT` must stop the server anyway,
+        # from the moment it announces itself.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
+            print(f"serving on http://{server.host}:{server.port}", flush=True)
             _http_wait(server)
         except KeyboardInterrupt:
             print("shutting down", flush=True)
         finally:
+            signal.signal(signal.SIGINT, previous)
             server.close()
         if args.stats:
             print(server.stats.format(), flush=True)

@@ -219,12 +219,14 @@ class ExactCandidateGenerator:
         elif restrict_to_candidates:
             self.fallback_hits += 1
             candidates = self._fallback(surface)
-        if not candidates and category is not None and category in self.kb.schema.node_types:
-            candidates = self.kb.nodes_of_type(category).tolist()
-        if not candidates:
-            # Whole-KB fallthrough: arange, not a 10^5-element Python list.
-            return np.arange(self.kb.num_nodes, dtype=np.int64)
-        return np.asarray(candidates, dtype=np.int64)
+        if candidates:
+            return np.asarray(candidates, dtype=np.int64)
+        if category is not None and category in self.kb.schema.node_types:
+            typed = self.kb.nodes_of_type(category)
+            if typed.size:
+                return typed.astype(np.int64, copy=False)
+        # Whole-KB fallthrough: arange, not a 10^5-element Python list.
+        return np.arange(self.kb.num_nodes, dtype=np.int64)
 
 
 class FuzzyFallbackCandidateGenerator(ExactCandidateGenerator):

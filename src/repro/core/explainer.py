@@ -89,15 +89,6 @@ class GNNExplainer:
             raise ValueError(f"k_hops must be >= 0, got {k_hops}")
         sub, mapping = ego_subgraph(self.ref_graph, target_entity, k_hops)
         sub_target = mapping[target_entity]
-        if sub.num_edges == 0:
-            return Explanation(
-                mention_surface=query_graph.mention_surface,
-                entity_name=self.ref_graph.node_name(target_entity),
-                matching_score=0.0,
-                top_edges=[],
-                edge_mask=np.zeros(0, dtype=np.float32),
-            )
-
         sub_compiled = self.model.compile(sub)
         sub_features = Tensor(sub.features)
 
@@ -107,7 +98,24 @@ class GNNExplainer:
             qry_compiled = self.model.compile(query_graph.graph)
             h_qry = self.model.embed(qry_compiled, Tensor(query_graph.graph.features))
         mention_vec = h_qry.data[query_graph.mention_node].copy()
-        x_mention = Tensor(query_graph.graph.features[query_graph.mention_node].reshape(1, -1))
+        x_mention_row = query_graph.graph.features[query_graph.mention_node]
+
+        if sub.num_edges == 0:
+            # No edge to mask: score one forward of the edgeless ego graph.
+            with no_grad():
+                h_sub = self.model.embed(sub_compiled, sub_features).data
+            [score] = self.model.score_one_vs_many(
+                mention_vec, h_sub[[sub_target]], x_mention_row, sub.features[[sub_target]]
+            )
+            return Explanation(
+                mention_surface=query_graph.mention_surface,
+                entity_name=self.ref_graph.node_name(target_entity),
+                matching_score=float(score),
+                top_edges=[],
+                edge_mask=np.zeros(0, dtype=np.float32),
+            )
+
+        x_mention = Tensor(x_mention_row.reshape(1, -1))
         x_sub = Tensor(sub.features)
 
         logits = Tensor(

@@ -28,11 +28,12 @@ from ..autograd import (  # noqa: F401
 class Matcher(Module):
     """Common interface of the three matching modules.
 
-    ``forward`` is the trainable row-aligned pair scorer, and inference
-    ranks through it too (``EDGNN.score_pairs``).  ``one_vs_many`` is the
+    ``forward`` is the trainable row-aligned pair scorer that training
+    and the explainer use (``EDGNN.score_pairs``).  ``one_vs_many`` is the
     closed form of each matcher for one query embedding against ``[n, d]``
     candidate embeddings, in plain numpy matrix algebra instead of tiling
-    the query row ``n`` times; no inference path calls it yet.
+    the query row ``n`` times; inference ranks through it
+    (``EDGNN.score_one_vs_many``).
     """
 
     def one_vs_many(self, h_query_row: np.ndarray, h_candidates: np.ndarray) -> np.ndarray:

@@ -192,7 +192,9 @@ class EDGNN(Module):
 
         ``x_query``/``x_ref`` are the initial feature matrices of the two
         graphs; when provided (and ``lexical_skip`` is on) the raw
-        feature similarity joins the logit.
+        feature similarity joins the logit.  Training and the explainer
+        score through this differentiable form; inference uses
+        :meth:`score_one_vs_many`, the same logits in closed form.
         """
         query_ids = np.asarray(query_ids, dtype=np.int64)
         ref_ids = np.asarray(ref_ids, dtype=np.int64)
@@ -204,6 +206,28 @@ class EDGNN(Module):
         if self.config.lexical_skip and x_query is not None and x_ref is not None:
             lexical = rows_dot(gather(x_query, query_ids), gather(x_ref, ref_ids))
             logits = logits + lexical * self.lexical_scale
+        return logits
+
+    def score_one_vs_many(
+        self,
+        h_query_row: np.ndarray,
+        h_candidates: np.ndarray,
+        x_query_row: np.ndarray,
+        x_candidates: np.ndarray,
+    ) -> np.ndarray:
+        """Inference logits of one query node against ``[n, d]`` candidate
+        rows: :meth:`score_pairs` over the query row tiled ``n`` times, in
+        closed form (``Matcher.one_vs_many``), equal up to float32
+        rounding.  ``x_*`` are the pair's initial features, for the
+        lexical term.
+
+        Every product's shape comes from this candidate set alone (a
+        1-row ``q @ W``, then a GEMV over the rows), so a mention's scores
+        do not depend on the other mentions of its batch.
+        """
+        logits = self.matcher.one_vs_many(h_query_row, h_candidates)
+        if self.config.lexical_skip:
+            logits = logits + (x_candidates @ x_query_row) * self.lexical_scale.data[0]
         return logits
 
     def pair_loss(self, logits: Tensor, labels: np.ndarray, pos_weight: float = 1.0) -> Tensor:

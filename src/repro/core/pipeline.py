@@ -260,47 +260,41 @@ class EDPipeline:
     ) -> List[np.ndarray]:
         """Scoring stage: the matching logits of each query graph's "?"
         node against its candidate set (global KB node ids), from one
-        forward and one ``score_pairs`` call for the whole batch — the
-        math the trainer uses.
+        query-side forward for the whole batch, then
+        :meth:`EDGNN.score_one_vs_many` per mention over its own gathered
+        candidate rows of ``h_ref``/``x_ref`` — the trainer's
+        ``score_pairs`` logits in closed form.
 
         Union-batchable encoders embed the batch as one disjoint union
         (it has no cross-graph edges, so message passing never mixes
         graphs); graph-global encoders (MAGNN/HAN) embed per graph.
         ``h_ref``/``x_ref`` default to this pipeline's KB embeddings and
         features.  A batch of one gives the sequential bits; in a larger
-        union the float32 sums may round differently in the last bits.
+        union the float32 sums of the forward may round differently in
+        the last bits.  The scoring itself never mixes mentions.
         """
         model = self.model
         h_ref = self.ref_embeddings() if h_ref is None else h_ref
         x_ref = self.kb.features if x_ref is None else x_ref
-        lengths = [len(c) for c in candidate_sets]
         model.eval()
         with no_grad():
             if model.encoder.union_batchable:
                 union, offsets = batch_graphs([qg.graph for qg in query_graphs])
-                x_qry = Tensor(union.features)
-                h_qry = model.embed(model.compile(union), x_qry)
+                mentions = [offset + qg.mention_node for offset, qg in zip(offsets, query_graphs)]
+                h_qry = model.embed(model.compile(union), Tensor(union.features)).data[mentions]
+                x_qry = union.features[mentions]
             else:
-                offsets = np.cumsum([0] + [qg.graph.num_nodes for qg in query_graphs[:-1]])
-                x_qry = Tensor(np.vstack([qg.graph.features for qg in query_graphs]))
-                h_qry = Tensor(np.vstack([
-                    model.embed(model.compile(qg.graph), Tensor(qg.graph.features)).data
-                    for qg in query_graphs
-                ]))
-            mention_ids = np.repeat(
-                [offset + qg.mention_node for offset, qg in zip(offsets, query_graphs)],
-                lengths,
-            )
-            ref_ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in candidate_sets])
-            flat = model.score_pairs(
-                h_qry,
-                mention_ids,
-                Tensor(h_ref),
-                ref_ids,
-                x_query=x_qry,
-                x_ref=Tensor(x_ref),
-            ).data
-        return np.split(flat, np.cumsum(lengths)[:-1])
+                h_qry, x_qry = [], []
+                for qg in query_graphs:
+                    g = qg.graph
+                    h = model.embed(model.compile(g), Tensor(g.features)).data
+                    h_qry.append(h[qg.mention_node])
+                    x_qry.append(g.features[qg.mention_node])
+        scored = []
+        for h_row, x_row, candidates in zip(h_qry, x_qry, candidate_sets):
+            ids = np.asarray(candidates, dtype=np.int64)
+            scored.append(model.score_one_vs_many(h_row, h_ref[ids], x_row, x_ref[ids]))
+        return scored
 
     def disambiguate_snippet(
         self,

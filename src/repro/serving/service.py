@@ -20,7 +20,8 @@ traffic:
   generate candidates, and they are scored ``max_batch_size`` at a time
   by the pipeline's batched scorer
   (:meth:`~repro.core.pipeline.EDPipeline.score_candidates`: one
-  disjoint-union forward and one ``score_pairs`` call);
+  disjoint-union forward, then each mention's closed-form scores over
+  its own candidate rows);
 * :class:`~repro.serving.stats.ServiceStats` — throughput, cache hit
   rate, and batch-size telemetry, surfaced by ``repro serve``.
 
@@ -218,6 +219,7 @@ class LinkingService:
         if generator is not self._generator:
             self._generator = generator
             self._cache.clear()
+        self._record_candidate_sources()
         current = self.fingerprint()
         if not force and current == self._fingerprint:
             return False
@@ -315,12 +317,7 @@ class LinkingService:
 
         self.stats.record_request(len(snippets))
         self.stats.record_cache(hits, len(misses))
-        generator = self.pipeline.candidate_generator
-        self.stats.record_candidate_sources(
-            getattr(generator, "name", type(generator).__name__),
-            getattr(generator, "index_hits", 0),
-            getattr(generator, "fallback_hits", 0),
-        )
+        self._record_candidate_sources()
         return [
             Prediction.from_ranking(snippet.ambiguous_mention.mention, ranking, top_k)
             for snippet, ranking in zip(snippets, rankings)
@@ -346,6 +343,16 @@ class LinkingService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _record_candidate_sources(self) -> None:
+        """Snapshot the generator's name and hit counters into the stats,
+        so ``/stats`` names the served generator before the first link."""
+        generator = self.pipeline.candidate_generator
+        self.stats.record_candidate_sources(
+            getattr(generator, "name", type(generator).__name__),
+            getattr(generator, "index_hits", 0),
+            getattr(generator, "fallback_hits", 0),
+        )
+
     def _build_query_graph(self, snippet: Snippet) -> QueryGraph:
         """Same construction as the pipeline's, through the surface-
         embedding memo (exact — the hashing embedder is deterministic)."""

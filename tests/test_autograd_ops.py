@@ -68,7 +68,9 @@ class TestGatherScatter:
     @pytest.mark.parametrize("shape", [(300,), (300, 5), (300, 2, 3)])
     def test_scatter_add_bits_equal_add_at(self, rng, dtype, shape):
         """Each bucket sums its rows in index order, as np.add.at does: a
-        hub bucket, empty buckets, -0.0 rows, int32 ids, strided rows."""
+        hub bucket, empty buckets, -0.0 rows, int32 ids, strided rows.
+        gather's backward, which sums the rows of repeated ids into its
+        source, gives the same bits."""
         vals = (rng.standard_normal(shape) * 1e3).astype(dtype)
         vals[::7] = -0.0
         idx = rng.integers(0, 40, shape[0]).astype(np.int32)
@@ -78,6 +80,10 @@ class TestGatherScatter:
             np.add.at(expected, idx, values)
             out = scatter_add(Tensor(values, dtype=dtype), idx, 50).data
             assert out.dtype == dtype and out.tobytes() == expected.tobytes()
+            source = Tensor(np.ones((50,) + shape[1:], dtype=dtype), requires_grad=True)
+            gather(source, idx).backward(values)
+            grad = source.grad
+            assert grad.dtype == dtype and grad.tobytes() == expected.tobytes()
 
     def test_scatter_add_out_of_range_raises(self):
         with pytest.raises(IndexError):

@@ -6,6 +6,7 @@ scale so the suite stays fast.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -131,6 +132,38 @@ class TestTrainAndLink:
         ) == 0
         out = capsys.readouterr().out
         assert "match:" in out
+
+    def test_explain_edgeless_ego_network_reports_its_score(self, checkpoint, capsys):
+        # --hops 0 leaves the target alone in its ego network: no edge to
+        # explain, but the match still has the score of that one forward.
+        from repro.api import Linker
+        from repro.autograd import Tensor, no_grad
+        from repro.graph.traversal import ego_subgraph
+
+        assert main(
+            ["explain", "--checkpoint", checkpoint, "--text", SNIPPET_TEXT, "--hops", "0"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "(no edges in the candidate's ego network)" in out
+        printed = float(re.search(r"\(score (-?\d+\.\d+)\)", out).group(1))
+
+        linker = Linker.load(checkpoint)
+        pipe, model = linker.pipeline, linker.pipeline.model
+        snippet = linker.snippet_from_text(SNIPPET_TEXT)
+        target = linker.disambiguate_snippet(snippet, top_k=1).top()
+        qg = pipe.build_query_graphs([snippet])[0]
+        sub, mapping = ego_subgraph(pipe.kb, target, 0)
+        assert sub.num_edges == 0
+        model.eval()
+        with no_grad():
+            h_qry = model.embed(model.compile(qg.graph), Tensor(qg.graph.features))
+            h_sub = model.embed(model.compile(sub), Tensor(sub.features))
+            [expected] = model.score_pairs(
+                h_qry, [qg.mention_node], h_sub, [mapping[target]],
+                x_query=Tensor(qg.graph.features), x_ref=Tensor(sub.features),
+            ).data
+        assert round(float(expected), 3) != 0.0
+        assert printed == pytest.approx(float(expected), abs=5e-4)
 
     @pytest.mark.parametrize("text,extra,message", [
         (SNIPPET_TEXT, ["--top-k", "0"], "top_k must be >= 1"),
@@ -672,4 +705,45 @@ class TestServeSigpipe:
         proc.stdin.close()
         stderr = proc.stderr.read()
         assert proc.wait(timeout=120) == 0, stderr.decode()
+        assert b"Traceback" not in stderr
+
+
+class TestServeSigint:
+    def test_http_stops_on_sigint_inherited_as_ignored(self, checkpoint):
+        # A job a non-interactive shell starts with `&` inherits SIGINT as
+        # ignored (CI's smoke jobs start `repro serve --http` that way);
+        # SIGINT must still end the server cleanly.
+        import select
+        import signal
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--checkpoint", checkpoint,
+                "--http", "0",
+            ],
+            cwd=root,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 120)
+            assert ready, "no output within 120 s"
+            first = proc.stdout.readline()
+            assert first.startswith(b"serving on http://"), first
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr.decode()
+        assert b"shutting down" in stdout
         assert b"Traceback" not in stderr

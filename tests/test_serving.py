@@ -4,9 +4,10 @@ Covers batch-vs-sequential result equivalence (the service must return
 the rankings ``EDPipeline.disambiguate_snippet`` returns, with scores
 equal up to float32 rounding), also for each candidate generator served
 from the live arrays and from a KB bundle through every serving path,
-the result LRU cache (hits before any work, context sensitivity,
-invalidation), ``top_k`` validation, the stats counters, and the
-matchers' closed forms.
+a mention's bits independent of its batch neighbours (per-graph
+MAGNN forwards), the result LRU cache (hits before any work, context
+sensitivity, invalidation), ``top_k`` validation, the stats counters,
+and the matchers' closed forms against the tiled ``score_pairs``.
 """
 
 from dataclasses import fields, replace
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.api import Linker
-from repro.core import EDPipeline, ModelConfig, Prediction, TrainConfig, make_matcher
+from repro.core import EDGNN, EDPipeline, ModelConfig, Prediction, TrainConfig, make_matcher
 from repro.core.pipeline import rank
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.datasets import load_dataset
 from repro.retrieval import build_retrieval_index
 from repro.serving import (
@@ -111,6 +112,43 @@ class TestEquivalence:
         assert prediction.ranked_entities == sequential.ranked_entities
 
 
+class TestBatchNeighbourIndependence:
+    """A mention's scores must not depend on the mentions sharing its
+    micro-batch.  MAGNN embeds each query graph alone, so any batch-wide
+    product in the scorer (a ``Q @ W`` over every mention at once) would
+    be the only source of a difference from the sequential bits."""
+
+    @pytest.fixture(scope="class")
+    def magnn(self, dataset):
+        pipe = EDPipeline(
+            dataset.kb,
+            model_config=ModelConfig(variant="magnn", num_layers=1, seed=0),
+            train_config=TrainConfig(epochs=1, patience=1, seed=0),
+        )
+        pipe.fit(dataset.train, dataset.val, dataset.test)
+        full = pipe.kb.num_nodes
+        sequential = [pipe.disambiguate_snippet(s, top_k=full) for s in dataset.test]
+        return pipe, sequential
+
+    @pytest.mark.parametrize("cache_size", [0, 512], ids=["cache-off", "cache-on"])
+    @pytest.mark.parametrize("max_batch_size", [1, 2, 7, 32])
+    def test_full_ranking_bitwise_at_any_batch_size(
+        self, magnn, dataset, max_batch_size, cache_size
+    ):
+        pipe, sequential = magnn
+        service = LinkingService(
+            pipe, ServiceConfig(max_batch_size=max_batch_size, cache_size=cache_size)
+        )
+        # A shuffled replay: each snippet meets other batch neighbours,
+        # and with the cache on its repeat is served from the entry.
+        order = np.random.default_rng(max_batch_size).permutation(len(dataset.test))
+        order = np.concatenate([order, order[::-1]])
+        served = service.link_batch([dataset.test[i] for i in order], top_k=pipe.kb.num_nodes)
+        for i, prediction in zip(order, served):
+            assert prediction.ranked_entities == sequential[i].ranked_entities
+            assert prediction.scores == sequential[i].scores
+
+
 class TestServedConfigurations:
     """Each candidate generator served from the live arrays and from a
     packed bundle, through the batched, cached, async and HTTP paths."""
@@ -144,6 +182,7 @@ class TestServedConfigurations:
 
         service = linker.serve(max_batch_size=4, cache_size=512, bundle_path=bundle)
         try:
+            assert service.stats.candidate_generator == generator  # before any link
             assert_equivalent(service, pipe, snippets)
             hits = service.stats.cache_hits
             assert_equivalent(service, pipe, snippets)
@@ -159,12 +198,14 @@ class TestServedConfigurations:
         with linker.serve(
             async_=True, deadline_ms=10.0, max_batch_size=4, bundle_path=bundle
         ) as async_service:
+            assert async_service.stats.candidate_generator == generator
             assert_matches_sequential(async_service.link_batch(snippets), pipe, snippets)
             assert async_service.stats.storage_backend == backend
 
         server = linker.serve(http_port=0, max_batch_size=4, bundle_path=bundle)
         try:
             with LinkerClient(port=server.port) as client:
+                assert client.stats()["candidate_generator"] == generator
                 wire = client.link_batch(snippets)
                 remote = client.stats()
         finally:
@@ -483,6 +524,38 @@ class TestMatcherFastPaths:
         expected = matcher(tiled, Tensor(candidates)).data.reshape(-1)
         fast = matcher.one_vs_many(query, candidates)
         assert np.allclose(fast, expected, atol=1e-5)
+
+    @pytest.mark.parametrize("lexical_skip", [True, False], ids=["lexical", "no-lexical"])
+    @pytest.mark.parametrize("name", ["dot", "mlp", "bilinear"])
+    def test_model_one_vs_many_matches_tiled_score_pairs(
+        self, pipeline, dataset, name, lexical_skip
+    ):
+        # The inference scorer against the training one over the query row
+        # tiled once per candidate: one candidate, and the whole KB.
+        model = EDGNN(
+            ModelConfig(
+                variant="graphsage", num_layers=2, matcher=name,
+                lexical_skip=lexical_skip, seed=0,
+            ),
+            pipeline.schema,
+        )
+        model.eval()
+        kb = dataset.kb
+        qg = pipeline.build_query_graph_for(dataset.test[0])
+        m = qg.mention_node
+        with no_grad():
+            h_ref = model.embed(model.compile(kb), Tensor(kb.features)).data
+            h_qry = model.embed(model.compile(qg.graph), Tensor(qg.graph.features)).data
+            for ids in (np.array([3]), np.arange(kb.num_nodes)):
+                tiled = model.score_pairs(
+                    Tensor(h_qry), np.full(len(ids), m), Tensor(h_ref), ids,
+                    x_query=Tensor(qg.graph.features), x_ref=Tensor(kb.features),
+                ).data
+                fast = model.score_one_vs_many(
+                    h_qry[m], h_ref[ids], qg.graph.features[m], kb.features[ids]
+                )
+                assert fast.shape == tiled.shape == ids.shape
+                np.testing.assert_allclose(fast, tiled, rtol=0, atol=1e-5)
 
 
 class TestStagedPipelineAPI:
